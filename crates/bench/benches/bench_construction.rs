@@ -6,7 +6,7 @@
 //! 500k) and writes the measured trajectories to `BENCH_ch_build.json` /
 //! `BENCH_gtree_build.json` via [`rnknn_bench::ch_build`] /
 //! [`rnknn_bench::gtree_build`] — CI runs this bench as a smoke test so both
-//! build-time trends are tracked across PRs.
+//! build-time trends stay current.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rnknn::ch::{ChConfig, ContractionHierarchy};
@@ -71,9 +71,9 @@ fn bench_gtree_scaling(c: &mut Criterion) {
 }
 
 fn bench_knn_query_scaling(_c: &mut Criterion) {
-    // Query-side trajectory (ISSUE 5): persist the 23k/116k smoke tier of
-    // BENCH_knn_query.json (fresh vs pooled per-method p50 + q/s, Dijkstra-verified;
-    // the `knn_query_bench` binary extends the same trajectory to 290k/580k).
+    // Query-side trajectory: persist the 23k/116k smoke tier of
+    // BENCH_knn_query.json (pooled per-method p50 + q/s, Dijkstra-verified; the
+    // `knn_query_bench` binary extends the same trajectory to 290k/580k).
     knn_query::run_and_track();
 }
 

@@ -307,18 +307,19 @@ fn distance_matrix_study(ctx: &mut Ctx) {
         })
         .collect();
 
-    let time_workload = |gtree: &Gtree, occ: &OccurrenceList, k: usize| -> f64 {
+    // Times the production sweep (`GtreeSearch::new`, pooled store) over the
+    // workload; returns µs/query and the matrix cells the searches read.
+    let time_workload = |gtree: &Gtree, occ: &OccurrenceList, k: usize| -> (f64, u64) {
+        let mut result = Vec::new();
+        let mut cells = 0;
         let start = Instant::now();
         for &q in &queries {
-            // The instrumented (tracked) search keeps the Table 3 probe counters
-            // meaningful; the pooled production path bypasses them.
-            std::hint::black_box(GtreeSearch::new_unpooled(gtree, &graph, q).knn(
-                k,
-                occ,
-                LeafSearchMode::Improved,
-            ));
+            let mut search = GtreeSearch::new(gtree, &graph, q);
+            search.knn_into(k, occ, LeafSearchMode::Improved, &mut result);
+            std::hint::black_box(&result);
+            cells += search.stats.matrix_cells;
         }
-        start.elapsed().as_micros() as f64 / queries.len() as f64
+        (start.elapsed().as_micros() as f64 / queries.len() as f64, cells)
     };
 
     let objects = uniform(&graph, defaults::DENSITY, 9);
@@ -333,7 +334,7 @@ fn distance_matrix_study(ctx: &mut Ctx) {
             .iter()
             .map(|(_, gtree)| {
                 let occ = OccurrenceList::build(gtree, objects.vertices());
-                time_workload(gtree, &occ, k)
+                time_workload(gtree, &occ, k).0
             })
             .collect();
         by_k.push(k.to_string(), values);
@@ -352,14 +353,16 @@ fn distance_matrix_study(ctx: &mut Ctx) {
             .iter()
             .map(|(_, gtree)| {
                 let occ = OccurrenceList::build(gtree, objects.vertices());
-                time_workload(gtree, &occ, defaults::K)
+                time_workload(gtree, &occ, defaults::K).0
             })
             .collect();
         by_d.push(format!("{d}"), values);
     }
     ctx.emit(by_d);
 
-    // Table 3 analogue: software probe counters instead of hardware cache misses.
+    // Table 3 analogue: software counters instead of hardware cache misses. Reads
+    // are the searches' `matrix_cells`; the hash layouts count their probes in
+    // `MatrixStats`, and the array layout probes exactly one cell per read.
     let mut profile = Table::new(
         "Table 3: distance-matrix profile over the query workload (software counters)",
         "layout",
@@ -372,13 +375,11 @@ fn distance_matrix_study(ctx: &mut Ctx) {
             node.matrix.stats().reset();
         }
         let occ = OccurrenceList::build(gtree, objects.vertices());
-        let micros = time_workload(gtree, &occ, defaults::K);
-        let (mut reads, mut probes) = (0u64, 0u64);
-        for node in gtree.nodes() {
-            let (r, p) = node.matrix.stats().snapshot();
-            reads += r;
-            probes += p;
-        }
+        let (micros, reads) = time_workload(gtree, &occ, defaults::K);
+        let probes = match mk {
+            MatrixKind::Array => reads,
+            _ => gtree.nodes().iter().map(|node| node.matrix.stats().snapshot().1).sum(),
+        };
         profile.push(mk.name(), vec![reads as f64, probes as f64, micros]);
     }
     ctx.emit(profile);

@@ -2,11 +2,10 @@
 //! `ch_build_bench` / `gtree_build_bench`).
 //!
 //! Builds the query-side indexes (G-tree + CH) on generated networks of increasing
-//! size, verifies every tracked method against the Dijkstra ground truth, measures
-//! per-method p50 latency and queries/sec on both the fresh-allocation baseline and
-//! the pooled `Engine::query_into` path, and writes the trajectory to
-//! `BENCH_knn_query.json` in the workspace root so CI can track steady-state query
-//! performance across PRs.
+//! size, verifies every measured method against the Dijkstra ground truth, measures
+//! per-method p50 latency and queries/sec of the pooled `Engine::query_with_objects`
+//! path, and writes the trajectory to `BENCH_knn_query.json` in the workspace root,
+//! where CI gates steady-state query performance against it.
 //!
 //! Usage: `cargo run --release -p rnknn-bench --bin knn_query_bench
 //!         [--sizes 20000,100000,250000,500000] [--queries 400] [--k 10]

@@ -370,7 +370,7 @@ pub mod artifacts {
 /// CH construction scaling measurement shared by the `bench_construction` bench (CI
 /// smoke run) and the `ch_build_bench` binary: build hierarchies on generated networks
 /// of increasing size, verify exactness against Dijkstra, and persist the measured
-/// build times to `BENCH_ch_build.json` so the perf trajectory is tracked across PRs.
+/// build times to `BENCH_ch_build.json` as the committed perf trajectory.
 pub mod ch_build {
     use std::time::Instant;
 
@@ -530,7 +530,7 @@ pub mod ch_build {
 /// (CI smoke run) and the `gtree_build_bench` binary: build G-trees on generated
 /// networks of increasing size, verify kNN results against a Dijkstra brute force,
 /// and persist the measured build times to `BENCH_gtree_build.json` so the perf
-/// trajectory is tracked across PRs (the CH analogue is [`ch_build`]).
+/// trajectory is committed (the CH analogue is [`ch_build`]).
 pub mod gtree_build {
     use std::time::Instant;
 
@@ -670,17 +670,15 @@ pub mod gtree_build {
 /// kNN query-latency scaling measurement shared by the `bench_construction` bench
 /// (CI smoke run) and the `knn_query_bench` binary: build the query-side indexes on
 /// generated networks of increasing size, verify every method against the Dijkstra
-/// ground truth, then measure per-method p50 latency and queries/sec on both the
-/// **fresh** (pre-pooling, allocate-per-query) and the **pooled**
-/// (`Engine::query_into` on the per-thread scratch pool) paths. The trajectory is
-/// persisted to `BENCH_knn_query.json` so query performance is tracked across PRs
-/// the same way the two construction trajectories are.
+/// ground truth, then measure per-method p50 latency and queries/sec of the pooled
+/// query path (`Engine::query_with_objects` on a warm scratch). The trajectory is
+/// persisted to `BENCH_knn_query.json`, beside the two construction trajectories.
 pub mod knn_query {
     use std::time::Instant;
 
     use rnknn::engine::{Engine, EngineConfig, Method};
     use rnknn::verify::matches_ground_truth;
-    use rnknn::QueryOutput;
+    use rnknn::{EngineScratch, QueryOutput};
     use rnknn_graph::NodeId;
     use rnknn_objects::uniform;
 
@@ -695,12 +693,8 @@ pub mod knn_query {
     pub struct MethodPoint {
         /// Display name (paper legend).
         pub method: &'static str,
-        /// Median per-query latency of the fresh-allocation path, in microseconds.
-        pub fresh_p50_us: f64,
         /// Median per-query latency of the pooled path, in microseconds.
         pub pooled_p50_us: f64,
-        /// Sustained throughput of the fresh path, queries per second.
-        pub fresh_qps: f64,
         /// Sustained throughput of the pooled path, queries per second.
         pub pooled_qps: f64,
     }
@@ -714,7 +708,7 @@ pub mod knn_query {
         pub objects: usize,
         /// k used for every query.
         pub k: usize,
-        /// Number of measured queries per method and path.
+        /// Number of measured queries per method.
         pub queries: usize,
         /// Per-method results.
         pub methods: Vec<MethodPoint>,
@@ -726,7 +720,7 @@ pub mod knn_query {
     }
 
     /// The engine configuration of this trajectory's tiers (G-tree and CH only —
-    /// the indexes the tracked methods need).
+    /// the indexes the measured methods need).
     pub fn engine_config() -> EngineConfig {
         EngineConfig {
             build_gtree: true,
@@ -745,9 +739,9 @@ pub mod knn_query {
     }
 
     /// Measures one point per requested size. Every method is first verified
-    /// against the Dijkstra ground truth on `verify_queries` query vertices (both
-    /// paths), so a fast-but-wrong query path never lands in the tracking file —
-    /// on the `--load` path this doubles as the loaded-artifact conformance gate.
+    /// against the Dijkstra ground truth on `verify_queries` query vertices, so a
+    /// fast-but-wrong query path never lands in the tracking file — on the
+    /// `--load` path this doubles as the loaded-artifact conformance gate.
     pub fn measure(
         sizes: &[usize],
         queries_per_size: usize,
@@ -774,65 +768,47 @@ pub mod knn_query {
                 .map(|i| ((i * 2_654_435_769) % n as u64) as NodeId)
                 .collect();
 
+            let indexes = engine.object_indexes().expect("objects installed");
+            let mut scratch = EngineScratch::new();
+            let mut out = QueryOutput::default();
             let mut methods = Vec::new();
             for method in METHODS {
-                // Exactness gate on both paths.
+                let mut run = |q: NodeId, out: &mut QueryOutput| {
+                    engine
+                        .query_with_objects(method, q, k, indexes, &mut scratch, out)
+                        .expect("query");
+                };
+                // Exactness gate.
                 for &q in queries.iter().take(verify_queries) {
-                    let pooled = engine.query(method, q, k).expect("query");
+                    run(q, &mut out);
                     assert!(
-                        matches_ground_truth(engine.graph(), q, k, &objects, &pooled.result),
+                        matches_ground_truth(engine.graph(), q, k, &objects, &out.result),
                         "{} wrong at q={q} size={size}",
                         method.name()
                     );
-                    let fresh = engine.query_fresh(method, q, k).expect("fresh query");
-                    assert_eq!(
-                        fresh.result,
-                        pooled.result,
-                        "{} fresh/pooled disagree at q={q} size={size}",
-                        method.name()
-                    );
                 }
-                // Fresh path: every query allocates all of its state (the pre-ISSUE-5
-                // behaviour).
-                let mut fresh_times = Vec::with_capacity(queries.len());
-                let fresh_start = Instant::now();
+                // One warm-up pass, then the measured pass on the warm scratch.
+                for &q in &queries {
+                    run(q, &mut out);
+                }
+                let mut times = Vec::with_capacity(queries.len());
+                let total_start = Instant::now();
                 for &q in &queries {
                     let start = Instant::now();
-                    let output = engine.query_fresh(method, q, k).expect("fresh query");
-                    fresh_times.push(start.elapsed().as_micros() as u64);
-                    std::hint::black_box(output.result.len());
-                }
-                let fresh_total = fresh_start.elapsed().as_secs_f64();
-                // Pooled path: one warm-up pass, then `query_into` on a reused output.
-                let mut out = QueryOutput::default();
-                for &q in &queries {
-                    engine.query_into(method, q, k, &mut out).expect("warm-up query");
-                }
-                let mut pooled_times = Vec::with_capacity(queries.len());
-                let pooled_start = Instant::now();
-                for &q in &queries {
-                    let start = Instant::now();
-                    engine.query_into(method, q, k, &mut out).expect("pooled query");
-                    pooled_times.push(start.elapsed().as_micros() as u64);
+                    run(q, &mut out);
+                    times.push(start.elapsed().as_micros() as u64);
                     std::hint::black_box(out.result.len());
                 }
-                let pooled_total = pooled_start.elapsed().as_secs_f64();
+                let total = total_start.elapsed().as_secs_f64();
 
                 let point = MethodPoint {
                     method: method.name(),
-                    fresh_p50_us: median(fresh_times),
-                    pooled_p50_us: median(pooled_times),
-                    fresh_qps: queries.len() as f64 / fresh_total.max(1e-9),
-                    pooled_qps: queries.len() as f64 / pooled_total.max(1e-9),
+                    pooled_p50_us: median(times),
+                    pooled_qps: queries.len() as f64 / total.max(1e-9),
                 };
                 println!(
-                    "  {:<8} fresh p50={:>8.1}µs ({:>9.0} q/s)   pooled p50={:>8.1}µs ({:>9.0} q/s)   speedup={:.2}x",
-                    point.method,
-                    point.fresh_p50_us,
-                    point.fresh_qps,
-                    point.pooled_p50_us,
-                    point.pooled_qps,
-                    point.fresh_p50_us / point.pooled_p50_us.max(1e-9),
+                    "  {:<8} pooled p50={:>8.1}µs ({:>9.0} q/s)",
+                    point.method, point.pooled_p50_us, point.pooled_qps,
                 );
                 methods.push(point);
             }
@@ -844,33 +820,11 @@ pub mod knn_query {
                 methods,
             });
         }
-        report_geomean(&points);
         points
     }
 
-    /// Prints the geometric-mean pooled-path p50 improvement across sizes for the
-    /// acceptance methods (G-tree, INE, IER-CH).
-    pub fn report_geomean(points: &[QueryPoint]) {
-        for name in ["Gtree", "INE", "IER-CH"] {
-            let ratios: Vec<f64> = points
-                .iter()
-                .flat_map(|p| p.methods.iter())
-                .filter(|m| m.method == name)
-                .map(|m| m.fresh_p50_us.max(1.0) / m.pooled_p50_us.max(1.0))
-                .collect();
-            if ratios.is_empty() {
-                continue;
-            }
-            let geomean = (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
-            println!(
-                "geomean p50 speedup {name}: {geomean:.2}x ({:.0}% latency reduction)",
-                (1.0 - 1.0 / geomean) * 100.0
-            );
-        }
-    }
-
-    /// Renders the tracking JSON for `BENCH_knn_query.json`. `fresh_*` columns are
-    /// the pre-pooling ("before") numbers, `pooled_*` the steady-state serving path.
+    /// Renders the tracking JSON for `BENCH_knn_query.json` (`pooled_*` is the
+    /// steady-state serving path).
     pub fn render_json(points: &[QueryPoint]) -> String {
         let mut json = String::from(
             "{\n  \"bench\": \"knn_query\",\n  \"unit\": \"microseconds (p50) / queries-per-second\",\n  \"points\": [\n",
@@ -882,11 +836,9 @@ pub mod knn_query {
             ));
             for (j, m) in p.methods.iter().enumerate() {
                 json.push_str(&format!(
-                    "      {{\"method\": \"{}\", \"fresh_p50_us\": {:.1}, \"pooled_p50_us\": {:.1}, \"fresh_qps\": {:.0}, \"pooled_qps\": {:.0}}}{}\n",
+                    "      {{\"method\": \"{}\", \"pooled_p50_us\": {:.1}, \"pooled_qps\": {:.0}}}{}\n",
                     m.method,
-                    m.fresh_p50_us,
                     m.pooled_p50_us,
-                    m.fresh_qps,
                     m.pooled_qps,
                     if j + 1 < p.methods.len() { "," } else { "" }
                 ));
@@ -991,7 +943,7 @@ pub mod knn_query {
     /// extends the same trajectory to 290k/580k) and writes the tracking file.
     /// Workload parameters (k=10, d=0.01) must match the binary's defaults so the
     /// smoke tier and the committed full trajectory stay comparable. Before the
-    /// file is overwritten, the fresh numbers are gated against the committed
+    /// file is overwritten, the new numbers are gated against the committed
     /// baseline (see [`check_regression`]); `RNKNN_BENCH_NO_GUARD=1` skips the
     /// gate for intentional re-baselining.
     pub fn run_and_track() -> Vec<QueryPoint> {
@@ -1015,9 +967,7 @@ pub mod knn_query {
         fn point(vertices: usize, gtree_p50: f64, ine_p50: f64) -> QueryPoint {
             let method = |name: &'static str, p50: f64| MethodPoint {
                 method: name,
-                fresh_p50_us: p50 * 2.0,
                 pooled_p50_us: p50,
-                fresh_qps: 1.0,
                 pooled_qps: 1.0,
             };
             QueryPoint {
@@ -1057,14 +1007,14 @@ pub mod knn_query {
 /// rate (0%, 1% and 10% of |O| per second). Correctness is gated before any
 /// timing: interleaved update/query rounds are verified against the Dijkstra
 /// ground truth of their exact epoch. The trajectory is persisted to
-/// `BENCH_serving.json` so serving throughput is tracked across PRs like the
-/// construction and query trajectories.
+/// `BENCH_serving.json`, beside the construction and query trajectories.
 pub mod serving {
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
     use rnknn::engine::{Engine, EngineConfig, Method};
     use rnknn::verify::ground_truth;
+    use rnknn::{EngineScratch, QueryOutput};
     use rnknn_graph::NodeId;
     use rnknn_objects::{churn_stream, uniform, ChurnConfig, ObjectSet, UpdateEvent};
     use rnknn_serve::{
@@ -1132,7 +1082,7 @@ pub mod serving {
         pub k: usize,
         /// Worker (shard) count of the front.
         pub workers: usize,
-        /// One cell per tracked update rate.
+        /// One cell per measured update rate.
         pub cells: Vec<RateCell>,
     }
 
@@ -1169,6 +1119,8 @@ pub mod serving {
         queries_per_round: u64,
     ) {
         let n = store.engine().graph().num_vertices();
+        let mut scratch = EngineScratch::new();
+        let mut out = QueryOutput::default();
         for round in 0..rounds {
             let batch = churn_stream(
                 n,
@@ -1183,7 +1135,9 @@ pub mod serving {
             assert_eq!(snap.objects().vertices(), feeder.vertices(), "round {round}");
             for probe in 0..queries_per_round {
                 let q = ((round * 7919 + probe * 2_654_435_769) % n as u64) as NodeId;
-                let out = engine.query_snapshot(METHOD, q, k, snap.indexes()).expect("query");
+                engine
+                    .query_with_objects(METHOD, q, k, snap.indexes(), &mut scratch, &mut out)
+                    .expect("query");
                 let truth: Vec<_> = ground_truth(engine.graph(), q, k, snap.objects())
                     .iter()
                     .map(|&(_, d)| d)

@@ -82,7 +82,7 @@ pub struct DisBrwSearch<'a> {
     budget: &'a QueryBudget,
 }
 
-/// A candidate object tracked by the search.
+/// A candidate object held by the search.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     object: NodeId,

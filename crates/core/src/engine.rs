@@ -6,11 +6,14 @@
 //! object indexes are cheap and swapped per object set (Section 7.4), and every method
 //! answers the same queries.
 //!
-//! Queries go through [`Engine::query`], which returns a `Result` carrying the
-//! kNN result plus unified [`crate::QueryStats`], and dispatches through the
-//! [`crate::methods`] registry of [`crate::KnnAlgorithm`] implementors. The
-//! engine is [`Sync`]: [`Engine::knn_batch`] fans a query workload across
-//! scoped threads over one shared engine.
+//! Every query runs one body, [`Engine::query_with_objects_budgeted`], which
+//! validates, dispatches through the [`crate::methods`] registry of
+//! [`crate::KnnAlgorithm`] implementors and returns the kNN result plus unified
+//! [`crate::QueryStats`]. [`Engine::query_with_objects`] is that body without a
+//! budget (the zero-allocation serving path on a caller-owned scratch),
+//! [`Engine::query`] the allocating convenience on the installed object set, and
+//! [`Engine::knn_batch`] fans a workload across scoped threads over one shared
+//! ([`Sync`]) engine.
 
 use std::cell::RefCell;
 use std::time::Instant;
@@ -343,9 +346,8 @@ impl Engine {
         }
     }
 
-    /// Shared validation for `query` and `knn_batch*`: `k` must be positive,
-    /// every index the method requires must have been built, and an object set
-    /// must have been injected.
+    /// The one query validation: `k` must be positive and every index the method
+    /// requires must have been built.
     fn validate(&self, method: Method, k: usize) -> Result<&'static dyn KnnAlgorithm, EngineError> {
         if k == 0 {
             return Err(EngineError::InvalidK { k });
@@ -355,9 +357,6 @@ impl Engine {
             if !self.has_index(kind) {
                 return Err(EngineError::MissingIndex { method, index: kind });
             }
-        }
-        if self.live.is_none() {
-            return Err(EngineError::NoObjects);
         }
         Ok(algorithm)
     }
@@ -418,8 +417,11 @@ impl Engine {
         Ok(applied)
     }
 
-    /// Answers a kNN query with the chosen method, returning the result together
-    /// with unified per-query [`crate::QueryStats`].
+    /// Answers a kNN query with the chosen method against the installed object
+    /// set, returning the result together with unified per-query
+    /// [`crate::QueryStats`]. The allocating convenience over
+    /// [`Engine::query_with_objects`]: it runs on the calling thread's scratch pool
+    /// and allocates only the returned result vector.
     ///
     /// This never panics: a missing index, a missing object set, an out-of-range
     /// vertex or `k == 0` come back as an [`EngineError`]. The engine is borrowed
@@ -453,111 +455,33 @@ impl Engine {
         query: NodeId,
         k: usize,
     ) -> Result<QueryOutput, EngineError> {
+        let Some(live) = self.live.as_ref() else {
+            // Configuration errors take precedence over the missing object set.
+            self.validate(method, k)?;
+            return Err(EngineError::NoObjects);
+        };
         let mut out = QueryOutput::default();
-        self.query_into(method, query, k, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Engine::query`] writing into a caller-owned [`QueryOutput`] (the result
-    /// vector is cleared, keeping its capacity, and refilled).
-    ///
-    /// This is the steady-state serving path: together with the engine's per-thread
-    /// scratch pool it performs **zero heap allocations** after a warm-up query for
-    /// the pooled methods (G-tree, INE, IER-CH and the other IER oracles; proven by
-    /// the allocation-guard test). [`Engine::query`] itself delegates here and only
-    /// additionally allocates the returned result vector.
-    ///
-    /// On error, `out` is left cleared. The reuse contract of the underlying pool is
-    /// documented on [`crate::scratch::EngineScratch`].
-    pub fn query_into(
-        &self,
-        method: Method,
-        query: NodeId,
-        k: usize,
-        out: &mut QueryOutput,
-    ) -> Result<(), EngineError> {
-        self.query_into_budgeted(method, query, k, &UNLIMITED, out)
-    }
-
-    /// [`Engine::query`] under a [`QueryBudget`]: a fresh output on success,
-    /// [`EngineError::DeadlineExceeded`] when the budget exhausts mid-search.
-    pub fn query_budgeted(
-        &self,
-        method: Method,
-        query: NodeId,
-        k: usize,
-        budget: &QueryBudget,
-    ) -> Result<QueryOutput, EngineError> {
-        let mut out = QueryOutput::default();
-        self.query_into_budgeted(method, query, k, budget, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Engine::query_into`] under a [`QueryBudget`].
-    ///
-    /// The budget is charged cooperatively inside the method's search loops (one
-    /// step per settled vertex / materialized cell batch, checked in
-    /// [`QueryBudget::check_every`]-sized strides). When it exhausts, the search
-    /// unwinds normally — no thread is killed, the thread's scratch pool stays
-    /// reusable — and the call returns [`EngineError::DeadlineExceeded`] carrying
-    /// the counters accumulated so far; `out` is left cleared. A budget that never
-    /// exhausts leaves the answer bit-identical to the unbudgeted path.
-    pub fn query_into_budgeted(
-        &self,
-        method: Method,
-        query: NodeId,
-        k: usize,
-        budget: &QueryBudget,
-        out: &mut QueryOutput,
-    ) -> Result<(), EngineError> {
         ENGINE_SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            self.query_with_scratch(method, query, k, budget, scratch, out)
-        })
-    }
-
-    /// [`Engine::query`] with every piece of per-query state allocated fresh — the
-    /// pre-pooling behaviour. Kept as the baseline the query benchmarks and the
-    /// allocation tests compare the pooled path against; there is no reason to use
-    /// it for serving.
-    pub fn query_fresh(
-        &self,
-        method: Method,
-        query: NodeId,
-        k: usize,
-    ) -> Result<QueryOutput, EngineError> {
-        let mut scratch = EngineScratch::unpooled();
-        let mut out = QueryOutput::default();
-        self.query_with_scratch(method, query, k, &UNLIMITED, &mut scratch, &mut out)?;
+            self.query_with_objects(method, query, k, live, &mut scratch.borrow_mut(), &mut out)
+        })?;
         Ok(out)
     }
 
-    /// Shared body of the query entry points: validate, build the context, dispatch
-    /// through the registry with `scratch`, and stamp the elapsed time.
-    fn query_with_scratch(
-        &self,
-        method: Method,
-        query: NodeId,
-        k: usize,
-        budget: &QueryBudget,
-        scratch: &mut EngineScratch,
-        out: &mut QueryOutput,
-    ) -> Result<(), EngineError> {
-        out.result.clear();
-        out.stats = Default::default();
-        let algorithm = self.validate(method, k)?;
-        let live = self.live.as_ref().ok_or(EngineError::NoObjects)?;
-        self.dispatch(algorithm, query, k, budget, live, scratch, out)
-    }
-
-    /// Answers a kNN query against **external** object indexes instead of the
-    /// engine's installed set — the serving layer's epoch-snapshot path: the engine
-    /// contributes the (immutable) road-network indexes, the caller the object view
-    /// and the scratch, so many epochs can serve concurrently over one engine.
+    /// Answers a kNN query against the object indexes `live`, on a caller-owned
+    /// scratch, writing into a caller-owned output (its result vector is cleared,
+    /// keeping its capacity, and refilled; on error it is left cleared).
     ///
-    /// `live` must have been built against this engine ([`Engine::build_object_indexes`])
-    /// and may have been evolved with [`Engine::apply_object_update`]. The engine's
-    /// own object set, if any, is ignored and need not exist.
+    /// This is the steady-state serving path: with a warm `scratch` and a reused
+    /// `out` it performs **zero heap allocations** for the pooled methods (G-tree,
+    /// INE, ROAD and the IER oracles; proven by the allocation-guard test). The
+    /// reuse contract of the scratch is documented on [`EngineScratch`].
+    ///
+    /// `live` may be the engine's installed set ([`Engine::object_indexes`]) or
+    /// an external epoch snapshot — the engine contributes the (immutable)
+    /// road-network indexes, the caller the object view and the scratch, so many
+    /// epochs can serve concurrently over one engine. External indexes must have
+    /// been built against this engine ([`Engine::build_object_indexes`]) and may
+    /// have been evolved with [`Engine::apply_object_update`].
     pub fn query_with_objects(
         &self,
         method: Method,
@@ -570,9 +494,16 @@ impl Engine {
         self.query_with_objects_budgeted(method, query, k, &UNLIMITED, live, scratch, out)
     }
 
-    /// [`Engine::query_with_objects`] under a [`QueryBudget`] — the serving
-    /// layer's deadline path (see [`Engine::query_into_budgeted`] for the budget
-    /// contract).
+    /// [`Engine::query_with_objects`] under a [`QueryBudget`] — the body every
+    /// query entry point runs, and the serving layer's deadline path.
+    ///
+    /// The budget is charged cooperatively inside the method's search loops (one
+    /// step per settled vertex / materialized cell batch, checked in
+    /// [`QueryBudget::check_every`]-sized strides). When it exhausts, the search
+    /// unwinds normally — no thread is killed, the scratch stays reusable — and
+    /// the call returns [`EngineError::DeadlineExceeded`] carrying the counters
+    /// accumulated so far; `out` is left cleared. A budget that never exhausts
+    /// leaves the answer bit-identical to the unbudgeted path.
     #[allow(clippy::too_many_arguments)]
     pub fn query_with_objects_budgeted(
         &self,
@@ -586,50 +517,7 @@ impl Engine {
     ) -> Result<(), EngineError> {
         out.result.clear();
         out.stats = Default::default();
-        if k == 0 {
-            return Err(EngineError::InvalidK { k });
-        }
-        let algorithm = methods::algorithm(method);
-        for &kind in algorithm.required_indexes() {
-            if !self.has_index(kind) {
-                return Err(EngineError::MissingIndex { method, index: kind });
-            }
-        }
-        self.dispatch(algorithm, query, k, budget, live, scratch, out)
-    }
-
-    /// [`Engine::query_with_objects`] on the calling thread's pooled scratch,
-    /// returning a fresh [`QueryOutput`] (convenience for tests and callers outside
-    /// a serving worker).
-    pub fn query_snapshot(
-        &self,
-        method: Method,
-        query: NodeId,
-        k: usize,
-        live: &ObjectIndexes,
-    ) -> Result<QueryOutput, EngineError> {
-        let mut out = QueryOutput::default();
-        ENGINE_SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            self.query_with_objects(method, query, k, live, scratch, &mut out)
-        })?;
-        Ok(out)
-    }
-
-    /// The validated dispatch tail shared by every query path: range-check the
-    /// query vertex, sync the scratch's object generation, build the context over
-    /// `live`'s object view and run the algorithm.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch(
-        &self,
-        algorithm: &'static dyn KnnAlgorithm,
-        query: NodeId,
-        k: usize,
-        budget: &QueryBudget,
-        live: &ObjectIndexes,
-        scratch: &mut EngineScratch,
-        out: &mut QueryOutput,
-    ) -> Result<(), EngineError> {
+        let algorithm = self.validate(method, k)?;
         let num_vertices = self.graph.num_vertices();
         if query as usize >= num_vertices {
             return Err(EngineError::InvalidVertex { vertex: query, num_vertices });
@@ -671,10 +559,10 @@ impl Engine {
     }
 
     /// Answers a whole query workload in parallel, fanning the queries across
-    /// scoped worker threads over this shared engine (the paper's 10,000-query
-    /// measurement loops, parallelized). Uses one worker per available core;
-    /// results are returned in input order and are identical to running
-    /// [`Engine::query`] sequentially.
+    /// scoped worker threads (one per available core) over this shared engine
+    /// (the paper's 10,000-query measurement loops, parallelized). Results are
+    /// returned in input order and are identical to running [`Engine::query`]
+    /// sequentially.
     ///
     /// ```
     /// use rnknn::{Engine, EngineConfig, Method};
@@ -701,47 +589,29 @@ impl Engine {
         queries: &[NodeId],
         k: usize,
     ) -> Result<Vec<QueryOutput>, EngineError> {
-        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        self.knn_batch_with_threads(method, queries, k, threads)
-    }
-
-    /// [`Engine::knn_batch`] with an explicit worker count.
-    pub fn knn_batch_with_threads(
-        &self,
-        method: Method,
-        queries: &[NodeId],
-        k: usize,
-        threads: usize,
-    ) -> Result<Vec<QueryOutput>, EngineError> {
-        // Surface configuration errors (bad k, missing index) even for an empty
-        // workload, so a warm-up batch is a reliable configuration check.
+        // Surface configuration errors (bad k, missing index, no objects) even for
+        // an empty workload, so a warm-up batch is a reliable configuration check.
         self.validate(method, k)?;
-        if queries.is_empty() {
-            return Ok(Vec::new());
+        if self.live.is_none() {
+            return Err(EngineError::NoObjects);
         }
-        let threads = threads.max(1).min(queries.len());
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = threads.min(queries.len());
         if threads <= 1 {
             return queries.iter().map(|&q| self.query(method, q, k)).collect();
         }
         let chunk_len = queries.len().div_ceil(threads);
-        let chunk_results = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = queries
                 .chunks(chunk_len)
                 .map(|chunk| {
                     scope.spawn(move || {
-                        chunk
-                            .iter()
-                            .map(|&q| self.query(method, q, k))
-                            .collect::<Vec<Result<QueryOutput, EngineError>>>()
+                        chunk.iter().map(|&q| self.query(method, q, k)).collect::<Vec<_>>()
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("kNN batch worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        chunk_results.into_iter().flatten().collect()
+            handles.into_iter().flat_map(|h| h.join().expect("kNN batch worker panicked")).collect()
+        })
     }
 }
 
@@ -759,6 +629,19 @@ mod tests {
     use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
     use rnknn_graph::EdgeWeightKind;
     use rnknn_objects::uniform;
+
+    /// Answers one query against external object indexes on a fresh scratch.
+    fn query_on(
+        engine: &Engine,
+        m: Method,
+        q: NodeId,
+        k: usize,
+        live: &ObjectIndexes,
+    ) -> QueryOutput {
+        let mut out = QueryOutput::default();
+        engine.query_with_objects(m, q, k, live, &mut EngineScratch::new(), &mut out).unwrap();
+        out
+    }
 
     #[test]
     fn engine_answers_identically_across_all_supported_methods() {
@@ -949,7 +832,7 @@ mod tests {
                 );
                 for m in [Method::Ine, Method::Gtree, Method::Road, Method::IerDijkstra] {
                     let live = engine.query(m, q, 5).unwrap();
-                    let fresh = engine.query_snapshot(m, q, 5, &rebuilt).unwrap();
+                    let fresh = query_on(&engine, m, q, 5, &rebuilt);
                     assert_eq!(
                         live.distances(),
                         fresh.distances(),
@@ -976,12 +859,12 @@ mod tests {
         assert!(engine.apply_object_update(&mut b, UpdateEvent::Insert(3)));
         assert!(b.generation() > a.generation(), "updates must advance the generation");
 
-        let from_a = engine.query_snapshot(Method::Gtree, 3, 3, &a).unwrap();
-        let from_b = engine.query_snapshot(Method::Gtree, 3, 3, &b).unwrap();
+        let from_a = query_on(&engine, Method::Gtree, 3, 3, &a);
+        let from_b = query_on(&engine, Method::Gtree, 3, 3, &b);
         assert_eq!(from_b.result[0], (3, 0), "snapshot b has an object at the query vertex");
         assert_ne!(from_a.result[0].1, 0, "snapshot a must not see b's insert");
         // Conformance against INE on the same snapshot.
-        let ine_b = engine.query_snapshot(Method::Ine, 3, 3, &b).unwrap();
+        let ine_b = query_on(&engine, Method::Ine, 3, 3, &b);
         assert_eq!(from_b.distances(), ine_b.distances());
     }
 

@@ -53,9 +53,7 @@ pub struct OracleSearchStats {
     pub nodes_expanded: u64,
     /// Priority-queue operations performed by oracle-internal searches.
     pub heap_operations: u64,
-    /// Distance-matrix cells read by G-tree assembly (MGtree oracle only; the
-    /// per-search batch counter that replaced the per-cell atomic probes the
-    /// pooled path bypasses).
+    /// Distance-matrix cells read by G-tree assembly (MGtree oracle only).
     pub matrix_cells: u64,
 }
 
@@ -221,33 +219,21 @@ impl<'a, O: DistanceOracle> IerSearch<'a, O> {
 pub struct DijkstraOracle<'a> {
     graph: &'a Graph,
     scratch: SearchScratch,
-    /// Pre-pooling query semantics: every candidate search runs to completion
-    /// (no pruning against IER's k-th candidate).
-    legacy: bool,
     budget: &'a QueryBudget,
     stats: OracleSearchStats,
 }
 
 impl<'a> DijkstraOracle<'a> {
-    /// Creates the one-shot oracle with the pre-pooling semantics (fresh scratch,
-    /// unbounded candidate searches) — the "before" baseline.
+    /// Creates the oracle over a fresh scratch.
     pub fn new(graph: &'a Graph) -> Self {
-        let mut oracle = Self::with_scratch(graph, SearchScratch::new());
-        oracle.legacy = true;
-        oracle
+        Self::with_scratch(graph, SearchScratch::new())
     }
 
-    /// Creates the pooled oracle over a caller-provided scratch (candidate searches
-    /// are bounded by IER's current k-th candidate); recover the scratch with
+    /// Creates the oracle over a caller-provided scratch (candidate searches are
+    /// bounded by IER's current k-th candidate); recover the scratch with
     /// [`DijkstraOracle::into_scratch`].
     pub fn with_scratch(graph: &'a Graph, scratch: SearchScratch) -> Self {
-        DijkstraOracle {
-            graph,
-            scratch,
-            legacy: false,
-            budget: &UNLIMITED,
-            stats: OracleSearchStats::default(),
-        }
+        DijkstraOracle { graph, scratch, budget: &UNLIMITED, stats: OracleSearchStats::default() }
     }
 
     /// Attaches a [`QueryBudget`] charged per settled vertex inside the
@@ -279,9 +265,6 @@ impl<'a> DistanceOracle for DijkstraOracle<'a> {
         d
     }
     fn network_distance_within(&mut self, source: NodeId, target: NodeId, bound: Weight) -> Weight {
-        if self.legacy {
-            return self.network_distance(source, target);
-        }
         let (d, stats) = rnknn_pathfinding::dijkstra::distance_within_with_stats_budgeted_in(
             self.graph,
             source,
@@ -307,30 +290,24 @@ pub struct AStarOracle<'a> {
     graph: &'a Graph,
     bound: EuclideanBound,
     scratch: SearchScratch,
-    /// Pre-pooling query semantics: every candidate search runs to completion.
-    legacy: bool,
     budget: &'a QueryBudget,
     stats: OracleSearchStats,
 }
 
 impl<'a> AStarOracle<'a> {
-    /// Creates the one-shot oracle with the pre-pooling semantics (fresh scratch,
-    /// unbounded candidate searches) — the "before" baseline.
+    /// Creates the oracle over a fresh scratch.
     pub fn new(graph: &'a Graph) -> Self {
-        let mut oracle = Self::with_scratch(graph, SearchScratch::new());
-        oracle.legacy = true;
-        oracle
+        Self::with_scratch(graph, SearchScratch::new())
     }
 
-    /// Creates the pooled oracle over a caller-provided scratch (candidate searches
-    /// are bounded by IER's current k-th candidate); recover the scratch with
+    /// Creates the oracle over a caller-provided scratch (candidate searches are
+    /// bounded by IER's current k-th candidate); recover the scratch with
     /// [`AStarOracle::into_scratch`].
     pub fn with_scratch(graph: &'a Graph, scratch: SearchScratch) -> Self {
         AStarOracle {
             graph,
             bound: graph.euclidean_bound(),
             scratch,
-            legacy: false,
             budget: &UNLIMITED,
             stats: OracleSearchStats::default(),
         }
@@ -366,9 +343,6 @@ impl<'a> DistanceOracle for AStarOracle<'a> {
         d
     }
     fn network_distance_within(&mut self, source: NodeId, target: NodeId, bound: Weight) -> Weight {
-        if self.legacy {
-            return self.network_distance(source, target);
-        }
         let (d, stats) = rnknn_pathfinding::astar::astar_distance_within_with_stats_budgeted_in(
             self.graph,
             &self.bound,
@@ -401,29 +375,18 @@ pub struct ChOracle<'a> {
     source: Option<NodeId>,
     space: rnknn_ch::ChSearchSpace,
     projection: rnknn_ch::ChSpaceProjection,
-    /// Pre-pooling query semantics: unbounded candidate searches whose meet tests
-    /// binary-search the sorted space (no dense projection).
-    legacy: bool,
     budget: &'a QueryBudget,
     counters: rnknn_ch::ChSearchCounters,
 }
 
 impl<'a> ChOracle<'a> {
-    /// Creates the one-shot oracle with the pre-pooling query semantics: fresh
-    /// buffers, unbounded per-candidate searches, binary-search meet tests. Kept as
-    /// the "before" baseline for benchmarks and tests.
+    /// Creates the oracle over a fresh forward-space buffer and projection.
     pub fn new(ch: &'a rnknn_ch::ContractionHierarchy) -> Self {
-        let mut oracle = Self::with_space(
-            ch,
-            rnknn_ch::ChSearchSpace::new(),
-            rnknn_ch::ChSpaceProjection::new(),
-        );
-        oracle.legacy = true;
-        oracle
+        Self::with_space(ch, rnknn_ch::ChSearchSpace::new(), rnknn_ch::ChSpaceProjection::new())
     }
 
-    /// Creates the pooled oracle, reusing a caller-provided forward-space buffer and
-    /// dense projection: per-candidate searches are bounded by IER's current k-th
+    /// Creates the oracle over a caller-provided forward-space buffer and dense
+    /// projection: per-candidate searches are bounded by IER's current k-th
     /// candidate and meet tests are one array load.
     pub fn with_space(
         ch: &'a rnknn_ch::ContractionHierarchy,
@@ -435,15 +398,13 @@ impl<'a> ChOracle<'a> {
             source: None,
             space,
             projection,
-            legacy: false,
             budget: &UNLIMITED,
             counters: rnknn_ch::ChSearchCounters::default(),
         }
     }
 
     /// Attaches a [`QueryBudget`] charged per settled vertex inside the forward
-    /// upward search and the per-candidate backward searches (pooled path only;
-    /// the legacy baseline ignores it).
+    /// upward search and the per-candidate backward searches.
     pub fn set_budget(&mut self, budget: &'a QueryBudget) {
         self.budget = budget;
     }
@@ -460,18 +421,13 @@ impl<'a> DistanceOracle for ChOracle<'a> {
         "CH"
     }
     fn begin_query(&mut self, source: NodeId) {
-        let counters = if self.legacy {
-            self.ch.upward_search_space_into(source, &mut self.space)
-        } else {
-            // Stall-pruned forward space: dominated labels are recorded but not
-            // expanded, shrinking the space (and the projection fill) while meets
-            // stay exact.
-            self.ch.upward_search_space_stalled_budgeted_into(source, &mut self.space, self.budget)
-        };
+        // Stall-pruned forward space: dominated labels are recorded but not
+        // expanded, shrinking the space (and the projection fill) while meets
+        // stay exact.
+        let counters =
+            self.ch.upward_search_space_stalled_budgeted_into(source, &mut self.space, self.budget);
         self.counters.accumulate(counters);
-        if !self.legacy {
-            self.projection.set_from(self.ch.num_vertices(), &self.space);
-        }
+        self.projection.set_from(self.ch.num_vertices(), &self.space);
         self.source = Some(source);
     }
     fn network_distance(&mut self, source: NodeId, target: NodeId) -> Weight {
@@ -484,16 +440,12 @@ impl<'a> DistanceOracle for ChOracle<'a> {
         if self.source != Some(source) {
             self.begin_query(source);
         }
-        let (d, counters) = if self.legacy {
-            self.ch.distance_from_space_with_counters(&self.space, target)
-        } else {
-            self.ch.distance_from_projection_within_budgeted_with_counters(
-                &self.projection,
-                target,
-                bound,
-                self.budget,
-            )
-        };
+        let (d, counters) = self.ch.distance_from_projection_within_budgeted_with_counters(
+            &self.projection,
+            target,
+            bound,
+            self.budget,
+        );
         self.counters.accumulate(counters);
         d
     }
@@ -545,28 +497,22 @@ impl<'a> DistanceOracle for PhlOracle<'a> {
 pub struct TnrOracle<'a> {
     tnr: &'a rnknn_tnr::TransitNodeRouting,
     state: rnknn_tnr::TnrSourceState,
-    /// Pre-pooling query semantics: one full `distance_with_counters` per
-    /// candidate, no shared per-source state.
-    legacy: bool,
     counters: rnknn_ch::ChSearchCounters,
 }
 
 impl<'a> TnrOracle<'a> {
-    /// Creates the one-shot oracle with the pre-pooling semantics (a full TNR
-    /// query per candidate) — the "before" baseline.
+    /// Creates the oracle over a fresh source state.
     pub fn new(tnr: &'a rnknn_tnr::TransitNodeRouting) -> Self {
-        let mut oracle = Self::with_state(tnr, rnknn_tnr::TnrSourceState::new());
-        oracle.legacy = true;
-        oracle
+        Self::with_state(tnr, rnknn_tnr::TnrSourceState::new())
     }
 
-    /// Creates the pooled oracle reusing a caller-provided source state (forward
-    /// stopped space + folded table row computed once per source).
+    /// Creates the oracle over a caller-provided source state (forward stopped
+    /// space + folded table row computed once per source).
     pub fn with_state(
         tnr: &'a rnknn_tnr::TransitNodeRouting,
         state: rnknn_tnr::TnrSourceState,
     ) -> Self {
-        TnrOracle { tnr, state, legacy: false, counters: rnknn_ch::ChSearchCounters::default() }
+        TnrOracle { tnr, state, counters: rnknn_ch::ChSearchCounters::default() }
     }
 
     /// Consumes the oracle, returning the source state to the caller's pool.
@@ -580,18 +526,10 @@ impl<'a> DistanceOracle for TnrOracle<'a> {
         "TNR"
     }
     fn begin_query(&mut self, source: NodeId) {
-        if self.legacy {
-            return;
-        }
         let counters = self.tnr.begin_source(source, &mut self.state);
         self.counters.accumulate(counters);
     }
     fn network_distance(&mut self, source: NodeId, target: NodeId) -> Weight {
-        if self.legacy {
-            let (d, counters) = self.tnr.distance_with_counters(source, target);
-            self.counters.accumulate(counters);
-            return d;
-        }
         if self.state.source() != Some(source) {
             self.begin_query(source);
         }
@@ -616,7 +554,6 @@ pub struct GtreeOracle<'a> {
     gtree: &'a rnknn_gtree::Gtree,
     graph: &'a Graph,
     search: Option<rnknn_gtree::GtreeSearch<'a>>,
-    pooled: bool,
     budget: &'a QueryBudget,
 }
 
@@ -624,13 +561,7 @@ impl<'a> GtreeOracle<'a> {
     /// Creates the oracle over a prebuilt G-tree (materialization storage comes from
     /// the G-tree crate's thread-local pool).
     pub fn new(gtree: &'a rnknn_gtree::Gtree, graph: &'a Graph) -> Self {
-        GtreeOracle { gtree, graph, search: None, pooled: true, budget: &UNLIMITED }
-    }
-
-    /// Creates the oracle with fresh, unpooled materialization storage — the
-    /// pre-pooling behaviour, used as the benchmarks' baseline.
-    pub fn new_unpooled(gtree: &'a rnknn_gtree::Gtree, graph: &'a Graph) -> Self {
-        GtreeOracle { gtree, graph, search: None, pooled: false, budget: &UNLIMITED }
+        GtreeOracle { gtree, graph, search: None, budget: &UNLIMITED }
     }
 
     /// Attaches a [`QueryBudget`], forwarded to the underlying [`GtreeSearch`]
@@ -659,11 +590,7 @@ impl<'a> DistanceOracle for GtreeOracle<'a> {
         match &mut self.search {
             Some(search) => search.reset(source),
             None => {
-                let mut search = if self.pooled {
-                    rnknn_gtree::GtreeSearch::new(self.gtree, self.graph, source)
-                } else {
-                    rnknn_gtree::GtreeSearch::new_unpooled(self.gtree, self.graph, source)
-                };
+                let mut search = rnknn_gtree::GtreeSearch::new(self.gtree, self.graph, source);
                 search.set_budget(self.budget);
                 self.search = Some(search);
             }

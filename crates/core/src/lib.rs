@@ -21,10 +21,11 @@
 //! the paper's figures). The engine is [`Sync`], and [`Engine::knn_batch`] fans a
 //! query workload across threads.
 //!
-//! Queries run on a per-thread [`scratch::EngineScratch`] pool: heaps, epoch-tagged
+//! Queries run on a reusable [`scratch::EngineScratch`]: heaps, epoch-tagged
 //! distance arrays, materialization stores and oracle search spaces are reused across
-//! queries, so the steady-state serving path ([`Engine::query_into`]) performs zero
-//! heap allocations for the pooled methods — see [`scratch`] for the reuse contract.
+//! queries, so the steady-state serving path ([`Engine::query_with_objects`] on a warm
+//! scratch) performs zero heap allocations for the pooled methods — see [`scratch`]
+//! for the reuse contract.
 //!
 //! Object sets need not be swapped wholesale: [`live::ObjectIndexes`] maintains every
 //! method's object index **incrementally** under insert/remove/move updates

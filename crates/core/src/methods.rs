@@ -154,12 +154,8 @@ impl KnnAlgorithm for IerDijkstra {
         scratch: &mut EngineScratch,
         out: &mut QueryOutput,
     ) -> Result<(), EngineError> {
-        let mut oracle = if scratch.reuse_pools {
-            let expansion = std::mem::take(&mut scratch.expansion);
-            DijkstraOracle::with_scratch(ctx.graph, expansion)
-        } else {
-            DijkstraOracle::new(ctx.graph)
-        };
+        let expansion = std::mem::take(&mut scratch.expansion);
+        let mut oracle = DijkstraOracle::with_scratch(ctx.graph, expansion);
         oracle.set_budget(ctx.budget);
         let oracle = ier_knn(ctx, oracle, query, k, &mut scratch.browser, out);
         scratch.expansion = oracle.into_scratch();
@@ -185,12 +181,8 @@ impl KnnAlgorithm for IerAStar {
         scratch: &mut EngineScratch,
         out: &mut QueryOutput,
     ) -> Result<(), EngineError> {
-        let mut oracle = if scratch.reuse_pools {
-            let expansion = std::mem::take(&mut scratch.expansion);
-            AStarOracle::with_scratch(ctx.graph, expansion)
-        } else {
-            AStarOracle::new(ctx.graph)
-        };
+        let expansion = std::mem::take(&mut scratch.expansion);
+        let mut oracle = AStarOracle::with_scratch(ctx.graph, expansion);
         oracle.set_budget(ctx.budget);
         let oracle = ier_knn(ctx, oracle, query, k, &mut scratch.browser, out);
         scratch.expansion = oracle.into_scratch();
@@ -220,13 +212,9 @@ impl KnnAlgorithm for IerCh {
         out: &mut QueryOutput,
     ) -> Result<(), EngineError> {
         let ch = ctx.require_ch(self.method())?;
-        let mut oracle = if scratch.reuse_pools {
-            let space = std::mem::take(&mut scratch.ch_forward);
-            let projection = std::mem::take(&mut scratch.ch_projection);
-            ChOracle::with_space(ch, space, projection)
-        } else {
-            ChOracle::new(ch)
-        };
+        let space = std::mem::take(&mut scratch.ch_forward);
+        let projection = std::mem::take(&mut scratch.ch_projection);
+        let mut oracle = ChOracle::with_space(ch, space, projection);
         oracle.set_budget(ctx.budget);
         let oracle = ier_knn(ctx, oracle, query, k, &mut scratch.browser, out);
         let (space, projection) = oracle.into_parts();
@@ -285,11 +273,7 @@ impl KnnAlgorithm for IerTnr {
         out: &mut QueryOutput,
     ) -> Result<(), EngineError> {
         let tnr = ctx.require_tnr(self.method())?;
-        let oracle = if scratch.reuse_pools {
-            TnrOracle::with_state(tnr, std::mem::take(&mut scratch.tnr))
-        } else {
-            TnrOracle::new(tnr)
-        };
+        let oracle = TnrOracle::with_state(tnr, std::mem::take(&mut scratch.tnr));
         let oracle = ier_knn(ctx, oracle, query, k, &mut scratch.browser, out);
         scratch.tnr = oracle.into_state();
         Ok(())
@@ -318,11 +302,7 @@ impl KnnAlgorithm for IerGtree {
         out: &mut QueryOutput,
     ) -> Result<(), EngineError> {
         let gtree = ctx.require_gtree(self.method())?;
-        let mut oracle = if scratch.reuse_pools {
-            GtreeOracle::new(gtree, ctx.graph)
-        } else {
-            GtreeOracle::new_unpooled(gtree, ctx.graph)
-        };
+        let mut oracle = GtreeOracle::new(gtree, ctx.graph);
         oracle.set_budget(ctx.budget);
         ier_knn(ctx, oracle, query, k, &mut scratch.browser, out);
         Ok(())
@@ -470,16 +450,13 @@ impl KnnAlgorithm for GtreeKnn {
         ctx: &QueryContext<'_>,
         query: NodeId,
         k: usize,
-        scratch: &mut EngineScratch,
+        // The materialization store comes from the G-tree crate's own pool.
+        _scratch: &mut EngineScratch,
         out: &mut QueryOutput,
     ) -> Result<(), EngineError> {
         let gtree = ctx.require_gtree(self.method())?;
         let occurrence = ctx.require_occurrence(self.method())?;
-        let mut search = if scratch.reuse_pools {
-            rnknn_gtree::GtreeSearch::new(gtree, ctx.graph, query)
-        } else {
-            rnknn_gtree::GtreeSearch::new_unpooled(gtree, ctx.graph, query)
-        };
+        let mut search = rnknn_gtree::GtreeSearch::new(gtree, ctx.graph, query);
         search.set_budget(ctx.budget);
         search.knn_into(k, occurrence, LeafSearchMode::Improved, &mut out.result);
         let stats = search.stats;

@@ -35,8 +35,7 @@ pub struct QueryStats {
     /// Candidate objects examined (Euclidean candidates, interval candidates).
     pub candidates_examined: u64,
     /// Distance-matrix cells read by G-tree assembly, counted in per-row batches
-    /// on the pooled hot path (the untracked sweeps bypass the per-cell atomic
-    /// matrix probes, which used to make pooled G-tree queries report zero here).
+    /// (see `rnknn_gtree::GtreeSearchStats::matrix_cells`).
     pub matrix_cells: u64,
     /// Wall-clock time of the query in microseconds (filled in by the engine).
     pub elapsed_micros: u64,
@@ -60,9 +59,9 @@ impl QueryStats {
 /// whole-output equality would be nondeterministic. Compare `result` (or
 /// [`QueryOutput::distances`]) instead.
 ///
-/// An output can be reused across queries with `Engine::query_into` — the result
-/// vector is cleared (keeping its capacity) and refilled, which is what makes the
-/// steady-state query path allocation-free.
+/// An output can be reused across queries with `Engine::query_with_objects` — the
+/// result vector is cleared (keeping its capacity) and refilled, which is what makes
+/// the steady-state query path allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct QueryOutput {
     /// Object vertices with their network distances, in non-decreasing order.
@@ -148,7 +147,7 @@ pub struct QueryContext<'a> {
     /// settle vertices / materialize cells; an exhausted budget makes them unwind
     /// with a truncated answer, which the engine converts into
     /// [`EngineError::DeadlineExceeded`]. Defaults to
-    /// [`rnknn_pathfinding::UNLIMITED`] on the non-budgeted entry points.
+    /// [`rnknn_pathfinding::UNLIMITED`] on the entry points without a budget.
     pub budget: &'a QueryBudget,
 }
 
@@ -253,19 +252,4 @@ pub trait KnnAlgorithm: Sync {
         scratch: &mut EngineScratch,
         out: &mut QueryOutput,
     ) -> Result<(), EngineError>;
-
-    /// One-shot convenience over [`KnnAlgorithm::knn_into`]: allocates a fresh
-    /// unpooled scratch and output per call. This is the pre-pooling behaviour,
-    /// kept for tests and as the baseline the query benchmarks compare against.
-    fn knn(
-        &self,
-        ctx: &QueryContext<'_>,
-        query: NodeId,
-        k: usize,
-    ) -> Result<QueryOutput, EngineError> {
-        let mut scratch = EngineScratch::unpooled();
-        let mut out = QueryOutput::default();
-        self.knn_into(ctx, query, k, &mut scratch, &mut out)?;
-        Ok(out)
-    }
 }

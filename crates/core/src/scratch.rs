@@ -38,7 +38,7 @@ use crate::disbrw::DisBrwScratch;
 /// Reusable per-thread working state for one query at a time (see the module docs
 /// for the reuse contract). Obtain one with [`EngineScratch::new`] — or not at all:
 /// `Engine::query` manages a thread-local instance automatically.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct EngineScratch {
     /// Expansion-search state (epoch-tagged distances/settled + heap), shared by
     /// INE, ROAD and the Dijkstra/A* IER oracles.
@@ -56,41 +56,15 @@ pub struct EngineScratch {
     pub(crate) tnr: rnknn_tnr::TnrSourceState,
     /// Distance Browsing candidate pool, refinement queues and best-k storage.
     pub(crate) disbrw: DisBrwScratch,
-    /// Whether algorithms may additionally use their crates' internal thread-local
-    /// pools (the G-tree materialization store). False only for the fresh-allocation
-    /// baseline, so `Engine::query_fresh` measures the true pre-pooling cost.
-    pub(crate) reuse_pools: bool,
     /// The object generation this scratch last served (0 = never). See the module
     /// docs: a mismatch on dispatch clears all object-derived buffers.
     pub(crate) objects_generation: u64,
-}
-
-impl Default for EngineScratch {
-    fn default() -> Self {
-        EngineScratch {
-            expansion: SearchScratch::default(),
-            browser: BrowserScratch::default(),
-            ch_forward: rnknn_ch::ChSearchSpace::default(),
-            ch_projection: rnknn_ch::ChSpaceProjection::default(),
-            tnr: rnknn_tnr::TnrSourceState::default(),
-            disbrw: DisBrwScratch::default(),
-            reuse_pools: true,
-            objects_generation: 0,
-        }
-    }
 }
 
 impl EngineScratch {
     /// Creates an empty scratch: nothing is allocated until a query uses a piece.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A scratch that also opts out of crate-internal thread-local pools, so every
-    /// query allocates all of its state fresh — the pre-pooling behaviour, used as
-    /// the baseline by `Engine::query_fresh` and the query benchmarks.
-    pub fn unpooled() -> Self {
-        EngineScratch { reuse_pools: false, ..Self::default() }
     }
 
     /// The [object generation](crate::ObjectIndexes::generation) this scratch last

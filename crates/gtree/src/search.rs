@@ -255,9 +255,9 @@ pub struct GtreeSearchStats {
     pub heap_pushes: u64,
     /// Vertices settled by leaf searches.
     pub leaf_vertices_settled: u64,
-    /// Distance-matrix cells read, counted in per-row batches on the pooled hot
-    /// path (the untracked sweeps bypass the per-cell atomic [`crate::MatrixStats`]
-    /// probes, which used to make pooled queries report zero matrix work).
+    /// Distance-matrix cells read, counted in per-row batches (the array layout's
+    /// SIMD sweeps count every cell of each swept row). On the hash-table layouts
+    /// this equals the reads their [`crate::MatrixStats`] count.
     pub matrix_cells: u64,
 }
 
@@ -297,15 +297,6 @@ pub struct GtreeSearch<'a> {
     source_leaf: NodeIndex,
     /// Pooled materialization state (border rows, same-leaf cache, kNN queue).
     store: SearchStore,
-    /// Whether `store` returns to the thread pool on drop (false for the
-    /// fresh-allocation baseline used by benchmarks).
-    pooled: bool,
-    /// Whether matrix reads go through the instrumented `DistanceMatrix::get`
-    /// (probe counters for the Table 3 layout ablation — the pre-pooling
-    /// behaviour) instead of the untracked row sweeps of the production path.
-    /// Both modes run the same algorithm (including bound pruning), so their
-    /// results agree; only the instrumentation and sweep shape differ.
-    tracked: bool,
     /// Cooperative cancellation: charged per materialized matrix cell, per kNN
     /// traversal step and per leaf-search settle. Defaults to [`UNLIMITED`].
     budget: &'a QueryBudget,
@@ -315,9 +306,6 @@ pub struct GtreeSearch<'a> {
 
 impl<'a> Drop for GtreeSearch<'a> {
     fn drop(&mut self) {
-        if !self.pooled {
-            return;
-        }
         let store = std::mem::take(&mut self.store);
         STORE_POOL.with(|pool| {
             let keep = match pool.take() {
@@ -334,28 +322,7 @@ impl<'a> GtreeSearch<'a> {
     /// materialization store from the thread-local pool (zero allocations when a
     /// previous search on this thread has warmed the pool).
     pub fn new(gtree: &'a Gtree, graph: &'a Graph, source: NodeId) -> Self {
-        let store = STORE_POOL.with(|pool| pool.take()).unwrap_or_default();
-        Self::with_store(gtree, graph, source, store, true, false)
-    }
-
-    /// Creates a search context with the pre-pooling behaviour: all per-query state
-    /// is allocated fresh (the thread-local pool is never touched) and every matrix
-    /// read goes through the instrumented [`crate::DistanceMatrix::get`], updating
-    /// the probe counters of the Table 3 layout ablation. Kept as the "before"
-    /// baseline for the query benchmarks, for allocation-behaviour tests, and for
-    /// the probe-counter experiments.
-    pub fn new_unpooled(gtree: &'a Gtree, graph: &'a Graph, source: NodeId) -> Self {
-        Self::with_store(gtree, graph, source, SearchStore::default(), false, true)
-    }
-
-    fn with_store(
-        gtree: &'a Gtree,
-        graph: &'a Graph,
-        source: NodeId,
-        mut store: SearchStore,
-        pooled: bool,
-        tracked: bool,
-    ) -> Self {
+        let mut store = STORE_POOL.with(|pool| pool.take()).unwrap_or_default();
         store.begin(gtree.num_nodes());
         GtreeSearch {
             gtree,
@@ -363,8 +330,6 @@ impl<'a> GtreeSearch<'a> {
             source,
             source_leaf: gtree.leaf_of(source),
             store,
-            pooled,
-            tracked,
             budget: &UNLIMITED,
             stats: GtreeSearchStats::default(),
         }
@@ -430,7 +395,6 @@ impl<'a> GtreeSearch<'a> {
         let gtree = self.gtree;
         let node = gtree.node(leaf);
         let col = gtree.position_in_leaf(target) as usize;
-        let tracked = self.tracked;
         let dists = &self.store.rows[leaf as usize];
         let mut best = INFINITY;
         let mut combinations = 0u64;
@@ -438,8 +402,7 @@ impl<'a> GtreeSearch<'a> {
             if d == INFINITY || d > bound {
                 continue;
             }
-            let m =
-                if tracked { node.matrix.get(bi, col) } else { node.matrix.get_untracked(bi, col) };
+            let m = node.matrix.get(bi, col);
             combinations += 1;
             if m != INFINITY && d + m < best {
                 best = d + m;
@@ -558,7 +521,6 @@ impl<'a> GtreeSearch<'a> {
         #[cfg(test)]
         materialize_panic_tick();
         let gtree = self.gtree;
-        let tracked = self.tracked;
         // Charge the budget for the cells *this* frame touches: recursive
         // assembly calls charge their own deltas, so the mark is re-taken
         // after each nested call returns.
@@ -571,13 +533,7 @@ impl<'a> GtreeSearch<'a> {
             let nb = node.borders.len();
             let out = &mut self.store.rows[ti];
             out.clear();
-            out.extend((0..nb).map(|row| {
-                if tracked {
-                    node.matrix.get(row, col)
-                } else {
-                    node.matrix.get_untracked(row, col)
-                }
-            }));
+            out.extend((0..nb).map(|row| node.matrix.get(row, col)));
             self.stats.matrix_cells += nb as u64;
             self.store.row_bound[ti] = INFINITY;
         } else if gtree.is_ancestor_of(t, self.source_leaf) {
@@ -599,22 +555,7 @@ impl<'a> GtreeSearch<'a> {
                 .expect("a node is distinct from its on-path child");
             out.clear();
             out.resize(nb, INFINITY);
-            if tracked {
-                for (xi, out_x) in out.iter_mut().enumerate() {
-                    let px = node.own_border_positions[xi] as usize;
-                    for (bi, &d) in src.iter().enumerate() {
-                        if d == INFINITY || d > bound {
-                            continue;
-                        }
-                        let m = node.matrix.get(base + bi, px);
-                        stats.border_computations += 1;
-                        stats.matrix_cells += 1;
-                        if m != INFINITY && d + m < *out_x {
-                            *out_x = d + m;
-                        }
-                    }
-                }
-            } else if node.matrix.kind() == MatrixKind::Array {
+            if node.matrix.kind() == MatrixKind::Array {
                 // The node's own borders sit at scattered matrix columns, so a
                 // direct sweep would be a per-column gather. Instead min-plus the
                 // full contiguous rows into the pooled full-width buffer with the
@@ -647,7 +588,7 @@ impl<'a> GtreeSearch<'a> {
                     }
                     active += 1;
                     for (out_x, &px) in out.iter_mut().zip(&node.own_border_positions) {
-                        let m = node.matrix.get_untracked(base + bi, px as usize);
+                        let m = node.matrix.get(base + bi, px as usize);
                         if m != INFINITY && d + m < *out_x {
                             *out_x = d + m;
                         }
@@ -697,57 +638,35 @@ impl<'a> GtreeSearch<'a> {
                 .expect("the materialization source is a sibling or the parent, never t");
             out.clear();
             out.resize(nb, INFINITY);
-            if tracked {
-                let mut active = 0u64;
-                for (si, &d) in src.iter().enumerate() {
-                    if d == INFINITY || d > bound {
-                        continue;
-                    }
-                    active += 1;
-                    let pos = match s_base {
-                        Some(sb) => sb + si,
-                        None => pnode.own_border_positions[si] as usize,
-                    };
-                    for (yi, out_y) in out.iter_mut().enumerate() {
-                        let m = pnode.matrix.get(pos, t_base + yi);
-                        if m != INFINITY && d + m < *out_y {
-                            *out_y = d + m;
-                        }
-                    }
+            // The target's borders occupy the contiguous parent-matrix columns
+            // `t_base..t_base+nb`, so each surviving source border contributes
+            // one contiguous row segment — a pure SIMD min-plus row sweep.
+            let mut active = 0u64;
+            for (si, &d) in src.iter().enumerate() {
+                if d == INFINITY || d > bound {
+                    continue;
                 }
-                stats.border_computations += active * nb as u64;
-                stats.matrix_cells += active * nb as u64;
-            } else {
-                // The target's borders occupy the contiguous parent-matrix columns
-                // `t_base..t_base+nb`, so each surviving source border contributes
-                // one contiguous row segment — a pure SIMD min-plus row sweep.
-                let mut active = 0u64;
-                for (si, &d) in src.iter().enumerate() {
-                    if d == INFINITY || d > bound {
-                        continue;
+                active += 1;
+                let pos = match s_base {
+                    Some(sb) => sb + si,
+                    None => pnode.own_border_positions[si] as usize,
+                };
+                match pnode.matrix.row_slice(pos) {
+                    Some(row) => {
+                        kernel::min_plus_into(out, d, &row[t_base..t_base + nb]);
                     }
-                    active += 1;
-                    let pos = match s_base {
-                        Some(sb) => sb + si,
-                        None => pnode.own_border_positions[si] as usize,
-                    };
-                    match pnode.matrix.row_slice(pos) {
-                        Some(row) => {
-                            kernel::min_plus_into(out, d, &row[t_base..t_base + nb]);
-                        }
-                        None => {
-                            for (yi, out_y) in out.iter_mut().enumerate() {
-                                let m = pnode.matrix.get_untracked(pos, t_base + yi);
-                                if m != INFINITY && d + m < *out_y {
-                                    *out_y = d + m;
-                                }
+                    None => {
+                        for (yi, out_y) in out.iter_mut().enumerate() {
+                            let m = pnode.matrix.get(pos, t_base + yi);
+                            if m != INFINITY && d + m < *out_y {
+                                *out_y = d + m;
                             }
                         }
                     }
                 }
-                stats.border_computations += active * nb as u64;
-                stats.matrix_cells += active * nb as u64;
             }
+            stats.border_computations += active * nb as u64;
+            stats.matrix_cells += active * nb as u64;
             if bound < INFINITY {
                 for o in out.iter_mut() {
                     if *o > bound {
@@ -977,11 +896,7 @@ impl<'a> GtreeSearch<'a> {
                         if orow as u32 == row || scratch.is_settled(opos) {
                             continue;
                         }
-                        let w = if self.tracked {
-                            node.matrix.get(row as usize, opos as usize)
-                        } else {
-                            node.matrix.get_untracked(row as usize, opos as usize)
-                        };
+                        let w = node.matrix.get(row as usize, opos as usize);
                         self.stats.border_computations += 1;
                         self.stats.matrix_cells += 1;
                         if w == INFINITY {
@@ -1251,9 +1166,8 @@ mod tests {
 
     #[test]
     fn pooled_searches_report_matrix_cells() {
-        // The repaired stat: the pooled hot path bypasses the per-cell atomic
-        // MatrixStats probes, so matrix work must show up in the per-search
-        // batch counter instead (it used to read zero).
+        // The array layout counts nothing in MatrixStats, so matrix work must
+        // show up in the per-search batch counter.
         let (g, tree) = setup(700, 27, 48);
         let n = g.num_vertices() as NodeId;
         let objects: Vec<NodeId> = (0..n).filter(|v| v % 11 == 3).collect();
@@ -1261,9 +1175,55 @@ mod tests {
         let mut pooled = GtreeSearch::new(&tree, &g, 5);
         pooled.knn(8, &occ, LeafSearchMode::Improved);
         assert!(pooled.stats.matrix_cells > 0, "pooled kNN read no matrix cells?");
-        let mut fresh = GtreeSearch::new_unpooled(&tree, &g, 5);
-        fresh.knn(8, &occ, LeafSearchMode::Improved);
-        assert!(fresh.stats.matrix_cells > 0, "tracked kNN read no matrix cells?");
+    }
+
+    #[test]
+    fn matrix_layouts_agree_and_hash_layouts_count_their_reads() {
+        // The Table 3 contract: one kNN workload answers identically on every
+        // layout; on the two hash layouts the search's `matrix_cells` equals the
+        // reads their MatrixStats count, with one probe per read for chained
+        // hashing and at least one for quadratic probing.
+        let net = RoadNetwork::generate(&GeneratorConfig::new(700, 29));
+        let g = net.graph(EdgeWeightKind::Distance);
+        let n = g.num_vertices() as NodeId;
+        let objects: Vec<NodeId> = (0..n).filter(|v| v % 17 == 5).collect();
+        let queries: Vec<NodeId> = (0..12u32).map(|i| (i * 131 + 7) % n).collect();
+        let mut answers = Vec::new();
+        let mut hash_cells = Vec::new();
+        for kind in MatrixKind::all() {
+            let config = GtreeConfig { leaf_capacity: 48, matrix_kind: kind, ..Default::default() };
+            let tree = Gtree::build_with_config(&g, config);
+            let occ = OccurrenceList::build(&tree, &objects);
+            tree.nodes().iter().for_each(|node| node.matrix.stats().reset());
+            let mut cells = 0;
+            let mut results = Vec::new();
+            for &q in &queries {
+                let mut search = GtreeSearch::new(&tree, &g, q);
+                results.push(search.knn(8, &occ, LeafSearchMode::Improved));
+                cells += search.stats.matrix_cells;
+            }
+            let (reads, probes) = tree.nodes().iter().fold((0, 0), |(r, p), node| {
+                let (nr, np) = node.matrix.stats().snapshot();
+                (r + nr, p + np)
+            });
+            match kind {
+                MatrixKind::Array => assert_eq!((reads, probes), (0, 0)),
+                MatrixKind::ChainedHashing => {
+                    assert_eq!(reads, cells);
+                    assert_eq!(probes, reads);
+                    hash_cells.push(cells);
+                }
+                MatrixKind::QuadraticProbing => {
+                    assert_eq!(reads, cells);
+                    assert!(probes >= reads);
+                    hash_cells.push(cells);
+                }
+            }
+            answers.push(results);
+        }
+        assert!(answers.windows(2).all(|w| w[0] == w[1]), "layouts disagree");
+        assert_eq!(hash_cells[0], hash_cells[1], "hash layouts read different cell counts");
+        assert!(hash_cells[0] > 0);
     }
 
     #[test]
@@ -1300,7 +1260,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_matches_fresh_searches_and_unpooled_baseline() {
+    fn reset_matches_fresh_searches() {
         let (g, tree) = setup(700, 19, 48);
         let n = g.num_vertices() as NodeId;
         let objects: Vec<NodeId> = (0..n).filter(|v| v % 9 == 4).collect();
@@ -1312,7 +1272,7 @@ mod tests {
             reused.reset(q);
             assert_eq!(reused.source(), q);
             reused.knn_into(6, &occ, LeafSearchMode::Improved, &mut result);
-            let mut fresh = GtreeSearch::new_unpooled(&tree, &g, q);
+            let mut fresh = GtreeSearch::new(&tree, &g, q);
             let want = fresh.knn(6, &occ, LeafSearchMode::Improved);
             assert_eq!(result, want, "q={q}");
             // The reused search also answers point-to-point queries correctly

@@ -82,7 +82,7 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Arc<T> {
 }
 
 /// Instrumented `Mutex`. Lock acquisition is a scheduling point; logical
-/// ownership is tracked by the explorer (the inner `std` mutex is then always
+/// ownership is kept by the explorer (the inner `std` mutex is then always
 /// uncontended because model threads are serialized).
 pub struct Mutex<T: ?Sized> {
     id: usize,

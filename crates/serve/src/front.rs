@@ -822,6 +822,7 @@ fn updater_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::tests::query_on;
     use rnknn::{Engine, EngineConfig};
     use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
     use rnknn_graph::EdgeWeightKind;
@@ -907,14 +908,13 @@ mod tests {
             // Conformance on the exact epoch the worker pinned (epoch 0 here —
             // no updates were submitted).
             assert_eq!(r.epoch, 0);
-            let expect = engine
-                .query_snapshot(
-                    Method::Ine,
-                    (r.id as NodeId * 29) % n,
-                    3,
-                    store.snapshot().indexes(),
-                )
-                .unwrap();
+            let expect = query_on(
+                &engine,
+                Method::Ine,
+                (r.id as NodeId * 29) % n,
+                3,
+                store.snapshot().indexes(),
+            );
             assert_eq!(output.result, expect.result, "request {}", r.id);
         }
         let stats = front.shutdown();

@@ -353,12 +353,25 @@ impl ObjectStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use rnknn::{EngineConfig, Method};
+    use rnknn::{EngineConfig, EngineScratch, Method, QueryOutput};
     use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
     use rnknn_graph::EdgeWeightKind;
     use rnknn_objects::uniform;
+
+    /// Answers one query against `indexes` on a fresh scratch.
+    pub(crate) fn query_on(
+        engine: &Engine,
+        m: Method,
+        q: NodeId,
+        k: usize,
+        indexes: &ObjectIndexes,
+    ) -> QueryOutput {
+        let mut out = QueryOutput::default();
+        engine.query_with_objects(m, q, k, indexes, &mut EngineScratch::new(), &mut out).unwrap();
+        out
+    }
 
     fn engine() -> Arc<Engine> {
         let net = RoadNetwork::generate(&GeneratorConfig::new(500, 31));
@@ -386,7 +399,7 @@ mod tests {
         // The old Arc still serves its old view.
         assert!(!unpublished.objects().contains(v));
         // And queries against the new epoch see the new object.
-        let out = engine.query_snapshot(Method::Ine, v, 1, published.indexes()).unwrap();
+        let out = query_on(&engine, Method::Ine, v, 1, published.indexes());
         assert_eq!(out.result[0], (v, 0));
     }
 
@@ -452,8 +465,8 @@ mod tests {
                 assert_eq!(snap.objects().contains(v), fresh.objects().contains(v), "vertex {v}");
             }
             for &q in queries {
-                let via_snap = engine.query_snapshot(Method::Ine, q, 3, snap.indexes()).unwrap();
-                let via_fresh = engine.query_snapshot(Method::Ine, q, 3, fresh.indexes()).unwrap();
+                let via_snap = query_on(&engine, Method::Ine, q, 3, snap.indexes());
+                let via_fresh = query_on(&engine, Method::Ine, q, 3, fresh.indexes());
                 assert_eq!(via_snap.result, via_fresh.result, "query at {q}");
             }
         };
@@ -508,7 +521,7 @@ mod tests {
 
         // The straddling reader's epoch was never mutated...
         assert!(straddling.objects().contains(v));
-        let out = engine.query_snapshot(Method::Ine, v, 1, straddling.indexes()).unwrap();
+        let out = query_on(&engine, Method::Ine, v, 1, straddling.indexes());
         assert_eq!(out.result[0], (v, 0), "pinned epoch must still answer with the object");
         // ...while fresh snapshots see the expiry.
         assert!(!store.snapshot().objects().contains(v));

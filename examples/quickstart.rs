@@ -5,7 +5,10 @@
 //! cargo run --release -p rnknn-examples --bin quickstart
 //! ```
 
+use std::time::Duration;
+
 use rnknn::engine::{Engine, EngineConfig, Method};
+use rnknn::{EngineScratch, QueryBudget, QueryOutput};
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::EdgeWeightKind;
 use rnknn_objects::uniform;
@@ -68,4 +71,35 @@ fn main() {
         start.elapsed().as_secs_f64() * 1e3,
         std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
     );
+
+    // 6. The serving path: a caller-owned scratch and output, reused across
+    //    queries, answer without allocating once warm; a budget bounds a query's
+    //    work and ends it with `DeadlineExceeded` instead of running late.
+    let indexes = engine.object_indexes().expect("objects injected above");
+    let mut scratch = EngineScratch::new();
+    let mut out = QueryOutput::default();
+    let start = std::time::Instant::now();
+    for &q in &workload {
+        engine
+            .query_with_objects(Method::Gtree, q, k, indexes, &mut scratch, &mut out)
+            .expect("G-tree built above");
+    }
+    println!(
+        "query_with_objects: {} G-tree queries in {:.1} ms on one reused scratch",
+        workload.len(),
+        start.elapsed().as_secs_f64() * 1e3,
+    );
+    let budget = QueryBudget::with_timeout(Duration::from_millis(10));
+    match engine.query_with_objects_budgeted(
+        Method::Gtree,
+        query,
+        k,
+        &budget,
+        indexes,
+        &mut scratch,
+        &mut out,
+    ) {
+        Ok(()) => println!("within a 10 ms budget: distances {:?}", out.distances()),
+        Err(e) => println!("within a 10 ms budget: {e}"),
+    }
 }

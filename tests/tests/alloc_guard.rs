@@ -1,37 +1,46 @@
 //! Steady-state allocation guard for the pooled query path.
 //!
-//! The engine's contract (ISSUE 5 tentpole) is that `Engine::query_into` on a warm
-//! per-thread scratch pool performs **zero heap allocations** for the pooled
+//! The engine's contract is that `Engine::query_with_objects` on a warm
+//! caller-owned scratch performs **zero heap allocations** for the pooled
 //! methods. This binary installs a counting global allocator and proves it for
 //! G-tree, INE and IER-CH (and, as a bonus, the remaining IER oracle methods),
 //! and pins `Engine::query`'s overhead to exactly the returned result vector.
 //!
-//! The counter is process-global but the test binary runs these assertions from a
-//! single thread; `cargo test` parallelism across *binaries* does not share the
-//! allocator static.
+//! Allocations are counted **per thread**: libtest runs these tests in
+//! parallel, and a process-global counter would charge one test's index
+//! builds to another test's measured window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use rnknn::engine::{Engine, EngineConfig, Method};
-use rnknn::QueryOutput;
+use rnknn::{EngineScratch, ObjectIndexes, QueryBudget, QueryOutput};
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::{EdgeWeightKind, NodeId};
 use rnknn_objects::uniform;
 
 /// Counts `alloc`/`realloc` calls (deallocations are free to the steady-state
-/// argument and are not counted).
+/// argument and are not counted) in the calling thread's [`ALLOCATIONS`].
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. A `const`-initialised `Cell<u64>` has no
+    /// destructor and never allocates, so the allocator may touch it freely.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: pure pass-through to `System` plus a relaxed counter bump; every
+fn count_allocation() {
+    // `try_with`: allocations during thread teardown have no counter to bump.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: pure pass-through to `System` plus a thread-local counter bump; every
 // layout/pointer contract of `GlobalAlloc` is forwarded unchanged, so `System`'s
 // own guarantees carry over verbatim.
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: caller upholds `GlobalAlloc::alloc`'s contract; forwarded as-is.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
     // SAFETY: caller upholds `GlobalAlloc::dealloc`'s contract; forwarded as-is.
@@ -40,7 +49,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
     // SAFETY: caller upholds `GlobalAlloc::realloc`'s contract; forwarded as-is.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -48,8 +57,48 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// A caller-owned query loop: the steady-state serving shape.
+struct Querier<'a> {
+    engine: &'a Engine,
+    indexes: &'a ObjectIndexes,
+    scratch: EngineScratch,
+    out: QueryOutput,
+}
+
+impl<'a> Querier<'a> {
+    fn new(engine: &'a Engine) -> Self {
+        let indexes = engine.object_indexes().expect("objects installed");
+        Querier { engine, indexes, scratch: EngineScratch::new(), out: QueryOutput::default() }
+    }
+
+    fn query(&mut self, method: Method, q: NodeId, k: usize) {
+        self.engine
+            .query_with_objects(method, q, k, self.indexes, &mut self.scratch, &mut self.out)
+            .expect("query");
+    }
+
+    fn budgeted(
+        &mut self,
+        method: Method,
+        q: NodeId,
+        k: usize,
+        budget: &QueryBudget,
+    ) -> Result<(), rnknn::EngineError> {
+        self.engine.query_with_objects_budgeted(
+            method,
+            q,
+            k,
+            budget,
+            self.indexes,
+            &mut self.scratch,
+            &mut self.out,
+        )
+    }
 }
 
 /// Builds an engine with the indexes the pooled methods need (no SILC/PHL — the
@@ -89,20 +138,20 @@ fn steady_state_queries_allocate_nothing_for_pooled_methods() {
         Method::IerGtree,
         Method::Road,
     ];
-    let mut out = QueryOutput::default();
+    let mut querier = Querier::new(&engine);
     for &method in &methods {
         // Warm-up: two full passes over the query set grow every pooled buffer
         // (heaps, distance arrays, border rows, candidate lists) to this workload's
         // high-water mark.
         for _ in 0..2 {
             for &q in &queries {
-                engine.query_into(method, q, k, &mut out).expect("warm-up query");
+                querier.query(method, q, k);
             }
         }
         // Steady state: the exact same queries must not touch the allocator.
         for &q in &queries {
             let before = allocations();
-            engine.query_into(method, q, k, &mut out).expect("steady-state query");
+            querier.query(method, q, k);
             let after = allocations();
             assert_eq!(
                 after - before,
@@ -111,12 +160,12 @@ fn steady_state_queries_allocate_nothing_for_pooled_methods() {
                 method.name(),
                 after - before
             );
-            assert!(!out.result.is_empty(), "{} returned nothing at q={q}", method.name());
+            assert!(!querier.out.result.is_empty(), "{} returned nothing at q={q}", method.name());
         }
     }
 }
 
-/// ISSUE 8: the zero-allocation steady state must survive persistence. An
+/// The zero-allocation steady state must survive persistence. An
 /// engine whose G-tree matrices are zero-copy views into a loaded artifact
 /// runs the same pooled query path — loading must not reintroduce per-query
 /// allocations (e.g. by materializing matrix rows on demand).
@@ -139,16 +188,16 @@ fn steady_state_stays_allocation_free_on_a_loaded_engine() {
         rnknn::engine::Engine::load_indexes_from_vec(bytes, &config).expect("load engine");
     loaded.set_objects(uniform(loaded.graph(), 0.02, 9));
 
-    let mut out = QueryOutput::default();
+    let mut querier = Querier::new(&loaded);
     for &method in &[Method::Gtree, Method::Ine, Method::IerCh, Method::IerGtree] {
         for _ in 0..2 {
             for &q in &queries {
-                loaded.query_into(method, q, k, &mut out).expect("warm-up query");
+                querier.query(method, q, k);
             }
         }
         for &q in &queries {
             let before = allocations();
-            loaded.query_into(method, q, k, &mut out).expect("steady-state query");
+            querier.query(method, q, k);
             let after = allocations();
             assert_eq!(
                 after - before,
@@ -157,7 +206,7 @@ fn steady_state_stays_allocation_free_on_a_loaded_engine() {
                 method.name(),
                 after - before
             );
-            assert!(!out.result.is_empty(), "{} returned nothing at q={q}", method.name());
+            assert!(!querier.out.result.is_empty(), "{} returned nothing at q={q}", method.name());
         }
     }
 }
@@ -169,19 +218,19 @@ fn steady_state_stays_allocation_free_on_a_loaded_engine() {
 /// included, is allocation-free on a warm pool).
 #[test]
 fn budgeted_queries_and_deadline_cuts_allocate_nothing() {
-    use rnknn::{EngineError, QueryBudget};
+    use rnknn::EngineError;
     let (engine, queries) = pooled_engine();
     let k = 8;
     let methods = [Method::Gtree, Method::Ine, Method::IerCh, Method::IerGtree];
-    let mut out = QueryOutput::default();
+    let mut querier = Querier::new(&engine);
     for &method in &methods {
         for _ in 0..2 {
             for &q in &queries {
-                engine.query_into(method, q, k, &mut out).expect("warm-up query");
+                querier.query(method, q, k);
                 // Warm the truncated path too: an exhausted search may park
                 // different high-water state in the pool than a completed one.
                 let starved = QueryBudget::new(None, 4, 1);
-                let _ = engine.query_into_budgeted(method, q, k, &starved, &mut out);
+                let _ = querier.budgeted(method, q, k, &starved);
             }
         }
         for &q in &queries {
@@ -193,7 +242,7 @@ fn budgeted_queries_and_deadline_cuts_allocate_nothing() {
                 1,
             );
             let before = allocations();
-            engine.query_into_budgeted(method, q, k, &generous, &mut out).expect("budgeted query");
+            querier.budgeted(method, q, k, &generous).expect("budgeted query");
             let after = allocations();
             assert_eq!(
                 after - before,
@@ -206,7 +255,7 @@ fn budgeted_queries_and_deadline_cuts_allocate_nothing() {
             // output, error with partial stats) must also be allocation-free.
             let starved = QueryBudget::new(None, 4, 1);
             let before = allocations();
-            let err = engine.query_into_budgeted(method, q, k, &starved, &mut out);
+            let err = querier.budgeted(method, q, k, &starved);
             let after = allocations();
             assert!(
                 matches!(err, Err(EngineError::DeadlineExceeded { .. })),
@@ -225,13 +274,11 @@ fn budgeted_queries_and_deadline_cuts_allocate_nothing() {
 }
 
 #[test]
-fn query_overhead_over_query_into_is_exactly_the_result_vector() {
+fn query_overhead_is_exactly_the_result_vector() {
     let (engine, queries) = pooled_engine();
     let k = 8;
-    let mut out = QueryOutput::default();
     for _ in 0..2 {
         for &q in &queries {
-            engine.query_into(Method::Gtree, q, k, &mut out).expect("warm-up");
             let _ = engine.query(Method::Gtree, q, k).expect("warm-up");
         }
     }
@@ -251,24 +298,45 @@ fn query_overhead_over_query_into_is_exactly_the_result_vector() {
     }
 }
 
+/// The counter is per thread: another thread allocating in a loop during the
+/// measured window must not show up in it, as libtest's parallel tests do
+/// while this binary's other tests build engines.
 #[test]
-fn fresh_baseline_allocates_and_pooled_path_agrees_with_it() {
+fn concurrent_allocations_on_another_thread_are_not_counted() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     let (engine, queries) = pooled_engine();
     let k = 8;
-    let mut out = QueryOutput::default();
-    for &method in &[Method::Gtree, Method::Ine, Method::IerCh] {
+    let mut querier = Querier::new(&engine);
+    for _ in 0..2 {
         for &q in &queries {
-            engine.query_into(method, q, k, &mut out).expect("pooled query");
-            let before = allocations();
-            let fresh = engine.query_fresh(method, q, k).expect("fresh query");
-            let after = allocations();
-            assert!(
-                after - before > 0,
-                "{} fresh baseline made no allocations — it no longer measures the \
-                 pre-pooling cost",
-                method.name()
-            );
-            assert_eq!(fresh.result, out.result, "{} pooled != fresh at q={q}", method.name());
+            querier.query(Method::Gtree, q, k);
         }
     }
+    let stop = AtomicBool::new(false);
+    let noise = AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                std::hint::black_box(vec![0u8; 64]);
+                noise.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        // Measure until the other thread has provably allocated inside the window.
+        let before = allocations();
+        let noise_start = noise.load(Ordering::Relaxed);
+        let mut rounds = 0;
+        while noise.load(Ordering::Relaxed) < noise_start + 1_000 {
+            querier.query(Method::Gtree, queries[rounds % queries.len()], k);
+            rounds += 1;
+            std::thread::yield_now();
+        }
+        let after = allocations();
+        stop.store(true, Ordering::Relaxed);
+        assert_eq!(
+            after - before,
+            0,
+            "{} allocation(s) counted over {rounds} warm queries while another thread allocated",
+            after - before
+        );
+    });
 }

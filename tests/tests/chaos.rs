@@ -19,6 +19,7 @@ use std::time::{Duration, Instant};
 
 use rnknn::engine::{Engine, EngineConfig, Method};
 use rnknn::verify::ground_truth;
+use rnknn::{EngineScratch, QueryOutput};
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::{EdgeWeightKind, NodeId};
 use rnknn_objects::{uniform, UpdateEvent};
@@ -127,13 +128,17 @@ fn overloaded_faulted_front_answers_every_request_exactly_once() {
     // Post-chaos exactness: the final epoch answers like Dijkstra, so no
     // mid-batch panic or mid-publish restart tore the object indexes.
     let snapshot = store.snapshot();
+    let mut scratch = EngineScratch::new();
+    let mut out = QueryOutput::default();
     for probe in 0..8u64 {
         let q = ((probe as usize * 977) % n) as NodeId;
         let truth: Vec<_> = ground_truth(engine.graph(), q, k, snapshot.objects())
             .iter()
             .map(|&(_, d)| d)
             .collect();
-        let out = engine.query_snapshot(Method::Ine, q, k, snapshot.indexes()).unwrap();
+        engine
+            .query_with_objects(Method::Ine, q, k, snapshot.indexes(), &mut scratch, &mut out)
+            .unwrap();
         assert_eq!(out.distances(), truth, "post-chaos divergence at q={q}");
     }
 }

@@ -14,7 +14,7 @@
 
 use rnknn::engine::{Engine, EngineConfig, Method};
 use rnknn::verify::{ground_truth, matches_ground_truth};
-use rnknn::{EngineError, QueryBudget};
+use rnknn::{EngineError, EngineScratch, QueryBudget, QueryOutput};
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::{EdgeWeightKind, NodeId};
 use rnknn_objects::{uniform, ObjectSet};
@@ -55,15 +55,18 @@ struct Config {
 /// Asserts every supported method against INE and the ground truth on `queries`.
 /// Every method runs **twice back-to-back** from the same engine — the first call
 /// may warm the per-thread scratch pool, the second must reuse it bit-for-bit —
-/// and on the first query additionally against the fresh-allocation baseline
-/// (`Engine::query_fresh`), closing the class of stale-scratch bugs the pooled
-/// query path could introduce. Returns how many (method × query) checks ran.
+/// and on the first query additionally on a new thread, whose engine scratch and
+/// G-tree store pool start cold, closing the class of stale-scratch bugs the
+/// pooled query path could introduce. Returns how many (method × query) checks
+/// ran.
 fn check_conformance(
     engine: &Engine,
     objects: &ObjectSet,
     queries: &[NodeId],
     config: Config,
 ) -> usize {
+    let indexes = engine.object_indexes().expect("objects installed");
+    let mut scratch = EngineScratch::new();
     let mut checks = 0;
     for (qi, &q) in queries.iter().enumerate() {
         let ine = engine
@@ -117,8 +120,18 @@ fn check_conformance(
                 u64::MAX,
                 1,
             );
-            let budgeted =
-                engine.query_budgeted(method, q, config.k, &generous).unwrap_or_else(|e| {
+            let mut budgeted = QueryOutput::default();
+            engine
+                .query_with_objects_budgeted(
+                    method,
+                    q,
+                    config.k,
+                    &generous,
+                    indexes,
+                    &mut scratch,
+                    &mut budgeted,
+                )
+                .unwrap_or_else(|e| {
                     panic!("{} budgeted rerun failed under {config:?}: {e}", method.name())
                 });
             assert_eq!(
@@ -127,16 +140,21 @@ fn check_conformance(
                 "{} diverged under a generous budget at q={q} under {config:?}",
                 method.name()
             );
-            // The fresh-allocation baseline is the pre-pooling code path; spot-check
-            // it on the first query of each configuration.
+            // Cold pools: a new thread starts with an empty engine scratch and an
+            // empty G-tree store pool, so its answer cannot lean on state this
+            // thread's earlier queries left behind. Spot-check the first query of
+            // each configuration.
             if qi == 0 {
-                let fresh = engine.query_fresh(method, q, config.k).unwrap_or_else(|e| {
-                    panic!("{} query_fresh failed under {config:?}: {e}", method.name())
+                let cold = std::thread::scope(|scope| {
+                    scope.spawn(|| engine.query(method, q, config.k)).join().expect("no panic")
+                })
+                .unwrap_or_else(|e| {
+                    panic!("{} cold-thread query failed under {config:?}: {e}", method.name())
                 });
                 assert_eq!(
-                    fresh.result,
+                    cold.result,
                     output.result,
-                    "{} pooled path disagrees with the fresh baseline at q={q} under {config:?}",
+                    "{} warm pools disagree with cold pools at q={q} under {config:?}",
                     method.name()
                 );
             }
@@ -251,6 +269,9 @@ fn exhausted_budgets_fail_cleanly_with_partial_stats() {
     engine.set_objects(objects.clone());
     let n = engine.graph().num_vertices() as NodeId;
     let k = objects.len().min(8);
+    let indexes = engine.object_indexes().expect("objects installed");
+    let mut scratch = EngineScratch::new();
+    let mut out = QueryOutput::default();
     let mut methods_cut = 0;
     for method in Method::all() {
         if !engine.supports(method) {
@@ -260,7 +281,15 @@ fn exhausted_budgets_fail_cleanly_with_partial_stats() {
             // Two steps (inclusive limit), checked every step: the second
             // charge exhausts, after exactly one unit of search work.
             let starved = QueryBudget::new(None, 2, 1);
-            match engine.query_budgeted(method, q, k, &starved) {
+            match engine.query_with_objects_budgeted(
+                method,
+                q,
+                k,
+                &starved,
+                indexes,
+                &mut scratch,
+                &mut out,
+            ) {
                 Err(EngineError::DeadlineExceeded { partial }) => {
                     let work = partial.nodes_expanded
                         + partial.heap_operations
@@ -282,9 +311,9 @@ fn exhausted_budgets_fail_cleanly_with_partial_stats() {
                     method.name()
                 ),
             }
-            // The pool survived the unwind: an unbudgeted rerun on this very
-            // thread must still be exact.
-            let out = engine.query(method, q, k).unwrap();
+            // The scratch survived the unwind: an unbudgeted rerun on it must
+            // still be exact.
+            engine.query_with_objects(method, q, k, indexes, &mut scratch, &mut out).unwrap();
             assert_eq!(
                 out.distances(),
                 ground_truth(engine.graph(), q, k, &objects)

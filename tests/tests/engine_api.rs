@@ -100,9 +100,7 @@ fn knn_batch_agrees_with_sequential_query_for_all_supported_methods() {
     let queries: Vec<NodeId> = (0..32u32).map(|i| (i * 1_237 + 5) % n).collect();
     for method in Method::all() {
         assert!(engine.supports(method), "{} should be supported", method.name());
-        // Explicit 4-way fan-out, independent of how many cores this host reports.
-        let batch =
-            engine.knn_batch_with_threads(method, &queries, 6, 4).expect("supported method");
+        let batch = engine.knn_batch(method, &queries, 6).expect("supported method");
         assert_eq!(batch.len(), queries.len());
         for (&q, output) in queries.iter().zip(&batch) {
             let sequential = engine.query(method, q, 6).expect("supported method");
@@ -204,10 +202,8 @@ fn every_method_reports_non_trivial_query_stats() {
             assert!(s.candidates_examined > 0, "{} must report candidates", method.name());
         }
         // The two G-tree-backed methods assemble border distances out of the
-        // distance matrices. The pooled hot path (`engine.query` runs on pooled
-        // scratch) reads rows with untracked batch sweeps that bypass the
-        // per-cell matrix probes, which used to make this counter report zero
-        // here — the stats blackout this assertion pins down.
+        // distance matrices. The array layout counts nothing per cell, so the
+        // per-search batch counter must carry the matrix work.
         if matches!(method, Method::Gtree | Method::IerGtree) {
             assert!(s.matrix_cells > 0, "{} reported zero matrix_cells", method.name());
         }

@@ -1,8 +1,8 @@
 //! Release-only per-method query-latency regression guard (the query-side analogue
 //! of `ch_scaling.rs` / `gtree_scaling.rs`).
 //!
-//! ISSUE 5 established the committed kNN query-latency trajectory
-//! (`BENCH_knn_query.json`); this guard keeps future PRs honest at the 116k tier.
+//! The committed kNN query-latency trajectory (`BENCH_knn_query.json`) has this
+//! guard at its 116k tier.
 //! Budgets are ~10x the single-core medians measured when the trajectory was
 //! committed (G-tree ~1.4ms, INE ~110µs, IER-CH ~630µs, IER-Gt ~660µs at k=10,
 //! d=0.01) — if one trips, either the pooled query path regressed or an index
@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use rnknn::engine::{Engine, EngineConfig, Method};
 use rnknn::verify::matches_ground_truth;
-use rnknn::QueryOutput;
+use rnknn::{EngineScratch, QueryOutput};
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::{EdgeWeightKind, NodeId};
 use rnknn_objects::uniform;
@@ -31,10 +31,14 @@ fn p50_micros(
     k: usize,
     budgeted: bool,
 ) -> f64 {
+    let indexes = engine.object_indexes().expect("objects installed");
+    let mut scratch = EngineScratch::new();
     let mut out = QueryOutput::default();
     // Warm-up pass: grow every pooled buffer to the workload's high-water mark.
     for &q in queries {
-        engine.query_into(method, q, k, &mut out).expect("warm-up query");
+        engine
+            .query_with_objects(method, q, k, indexes, &mut scratch, &mut out)
+            .expect("warm-up query");
     }
     let mut times: Vec<u64> = Vec::with_capacity(queries.len());
     for &q in queries {
@@ -44,7 +48,9 @@ fn p50_micros(
             rnknn::pathfinding::budget::DEFAULT_CHECK_EVERY,
         );
         let start = Instant::now();
-        engine.query_into_budgeted(method, q, k, &budget, &mut out).expect("measured query");
+        engine
+            .query_with_objects_budgeted(method, q, k, &budget, indexes, &mut scratch, &mut out)
+            .expect("measured query");
         times.push(start.elapsed().as_micros() as u64);
     }
     times.sort_unstable();
@@ -121,7 +127,7 @@ fn per_method_query_p50_stays_within_budget_at_116k_built_and_loaded() {
     let mut engine = Engine::build(graph, &config);
     run_guard(&mut engine, "built");
 
-    // ISSUE 8: an engine cold-started from its persisted artifact must meet
+    // An engine cold-started from its persisted artifact must meet
     // the same budgets with the same answers — zero-copy views over the
     // mapped arena can't be allowed to trade latency for load speed.
     let dir = std::env::temp_dir().join("rnknn-scaling-guard");

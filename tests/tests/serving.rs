@@ -12,6 +12,7 @@ use std::time::Duration;
 
 use rnknn::engine::{Engine, EngineConfig, Method};
 use rnknn::verify::ground_truth;
+use rnknn::{EngineScratch, QueryOutput};
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::{EdgeWeightKind, NodeId};
 use rnknn_objects::{churn_stream, uniform, ChurnConfig};
@@ -39,6 +40,7 @@ fn interleaved_updates_conform_to_a_rebuilt_engine() {
 
     let n = engine.graph().num_vertices();
     let k = 6;
+    let mut scratch = EngineScratch::new();
     for round in 0..12u64 {
         // One batch of N random updates, applied both to the serving store and to
         // the plain reference set.
@@ -65,8 +67,13 @@ fn interleaved_updates_conform_to_a_rebuilt_engine() {
             let truth: Vec<_> =
                 ground_truth(engine.graph(), q, k, &reference).iter().map(|&(_, d)| d).collect();
             for &method in &methods {
-                let live = engine.query_snapshot(method, q, k, snapshot.indexes()).unwrap();
-                let fresh = engine.query_snapshot(method, q, k, &rebuilt).unwrap();
+                let (mut live, mut fresh) = (QueryOutput::default(), QueryOutput::default());
+                engine
+                    .query_with_objects(method, q, k, snapshot.indexes(), &mut scratch, &mut live)
+                    .unwrap();
+                engine
+                    .query_with_objects(method, q, k, &rebuilt, &mut scratch, &mut fresh)
+                    .unwrap();
                 assert_eq!(
                     live.distances(),
                     truth,
@@ -116,6 +123,8 @@ fn epoch_swap_is_atomic_under_concurrent_readers() {
             let checks = Arc::clone(&checks);
             scope.spawn(move || {
                 start.wait();
+                let mut scratch = EngineScratch::new();
+                let mut out = QueryOutput::default();
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                     let snap = store.snapshot();
                     let has_a = snap.objects().contains(a);
@@ -134,7 +143,16 @@ fn epoch_swap_is_atomic_under_concurrent_readers() {
                     // A query against the pinned epoch must see exactly the flagged
                     // vertex at distance 0.
                     let at = if has_a { a } else { b };
-                    let out = engine.query_snapshot(Method::Ine, at, 1, snap.indexes()).unwrap();
+                    engine
+                        .query_with_objects(
+                            Method::Ine,
+                            at,
+                            1,
+                            snap.indexes(),
+                            &mut scratch,
+                            &mut out,
+                        )
+                        .unwrap();
                     assert_eq!(out.result[0], (at, 0), "reader {reader}");
                     checks[reader].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 }

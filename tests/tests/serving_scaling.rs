@@ -14,6 +14,7 @@ use std::time::Instant;
 
 use rnknn::engine::{Engine, EngineConfig, Method};
 use rnknn::verify::ground_truth;
+use rnknn::{EngineScratch, QueryOutput};
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::{EdgeWeightKind, NodeId};
 use rnknn_objects::{churn_stream, uniform, ChurnConfig};
@@ -62,13 +63,15 @@ fn one_percent_churn_is_10x_cheaper_than_a_rebuild_at_116k() {
     // final membership (and like the Dijkstra ground truth).
     let rebuilt = engine.build_object_indexes(membership.clone());
     let n = engine.graph().num_vertices();
+    let mut scratch = EngineScratch::new();
+    let (mut a, mut b) = (QueryOutput::default(), QueryOutput::default());
     for probe in 0..8u64 {
         let q = ((probe * 2_654_435_769) % n as u64) as NodeId;
         let truth: Vec<_> =
             ground_truth(engine.graph(), q, 10, &membership).iter().map(|&(_, d)| d).collect();
         for method in [Method::Ine, Method::Gtree, Method::Road] {
-            let a = engine.query_snapshot(method, q, 10, &live).unwrap();
-            let b = engine.query_snapshot(method, q, 10, &rebuilt).unwrap();
+            engine.query_with_objects(method, q, 10, &live, &mut scratch, &mut a).unwrap();
+            engine.query_with_objects(method, q, 10, &rebuilt, &mut scratch, &mut b).unwrap();
             assert_eq!(a.distances(), truth, "{} churned vs truth at q={q}", method.name());
             assert_eq!(
                 a.distances(),
